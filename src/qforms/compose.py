@@ -113,11 +113,13 @@ def concordant_pair(f1: Form, f2: Form) -> tuple[Form, Form]:
     a1, a2 = g1.a, g2.a
     _, u, _ = _ext_gcd(2 * a1, 2 * a2)
     diff = g2.b - g1.b
-    assert diff % 2 == 0
+    if diff % 2:
+        raise AssertionError(f"middle coefficients {g1.b}, {g2.b} differ in parity")
     b = g1.b + 2 * a1 * u * (diff // 2)
     h1 = _translate_middle(g1, b, D)
     h2 = _translate_middle(g2, b, D)
-    assert h2.c % h1.a == 0 and h1.c % h2.a == 0
+    if h2.c % h1.a or h1.c % h2.a:
+        raise AssertionError(f"{h1}, {h2} are not concordant")
     return h1, h2
 
 
@@ -332,14 +334,17 @@ def divisor_pairs(m: int) -> list[tuple[int, int]]:
 
     For m = 0 the four sign patterns of (1, 0) and (0, 1) stand in for the
     infinitely many factorizations; they exhaust the classes that occur.
+    Trial division up to sqrt(|m|): O(sqrt(|m|)) steps.
     """
     if m == 0:
         return [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    n = abs(m)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    large = [n // d for d in reversed(small) if d * d != n]
     out = []
-    for d in range(1, abs(m) + 1):
-        if abs(m) % d == 0:
-            out.append((d, m // d))
-            out.append((-d, m // -d))
+    for d in small + large:
+        out.append((d, m // d))
+        out.append((-d, m // -d))
     return out
 
 

@@ -4,8 +4,12 @@ Everything here is exact arithmetic on classes of discriminant
 D = 1 mod 4 (the knot-determinant convention).  A pair of classes
 (s1, s2) is *realizable by a disjoint genus-one pair* iff some special
 class t = [a x^2 + x y + c y^2] with 1 - 4ac = D satisfies
-t^2 * s1 = s2; witnesses (a, c) are searched over the divisor pairs of
-(1 - D)/4 in a fixed order (|a| ascending, positive before negative).
+t^2 * s1 = s2, where (a, c) runs over the divisor pairs of (1 - D)/4.
+So the partners of s1 form the coset s1 * T, T the set of special
+squares t^2: pairs are enumerated by composing each class with T once,
+not by testing pair by pair.  A single pair query returns the first
+witness (a, c) in a fixed order (|a| ascending, positive before
+negative).
 
 A realizable pair is *B^4-distinguishable* iff s1 is neither s2 nor
 bar(s2): the double branched covers of the pushed-in surfaces then have
@@ -113,7 +117,8 @@ def squaredisc_criterion(N: int) -> bool:
         raise NotOddPositive(f"N must be odd and positive, got {N}")
     result = N > 3
     # cross-check through the explicit isomorphism: [Q_{N,2}]^2 = phi(4)
-    assert result == (phi_n(N, 4 % N if N > 1 else 1) != identity_class(N * N))
+    if result != (phi_n(N, 4 % N if N > 1 else 1) != identity_class(N * N)):
+        raise AssertionError(f"phi_N cross-check disagrees with the criterion for N = {N}")
     return result
 
 
@@ -132,6 +137,10 @@ def enumerate_realizable_pairs(
     Primitive classes by default; with ``include_nonprimitive`` the
     classes m * (class of disc D/m^2) for m >= 2 join the list.  Output
     is sorted by the canonical representatives of the pair.
+
+    The partners of s1 are the coset s1 * T of the distinct special
+    squares T, so the cost is ``class_group`` (once per stratum) plus
+    h * |T| compositions, h the length of the class list.
     """
     _require_one_mod_4(D)
     classes = list(class_group(D, cache_dir=cache_dir).elements)
@@ -144,11 +153,12 @@ def enumerate_realizable_pairs(
                     classes.append(form_class(m * a, m * b, m * c))
             m += 2
         classes.sort(key=lambda s: s.coeffs())
+    squares = {special_square(a, c) for a, c in _special_witnesses(D)}
+    index = {s: i for i, s in enumerate(classes)}
     out = []
     for i, s1 in enumerate(classes):
-        for s2 in classes[i:]:
-            found, _ = realizable_disjoint_pair(s1, s2)
-            if found:
+        for s2 in {class_compose(t2, s1) for t2 in squares}:
+            if index.get(s2, -1) >= i:
                 out.append({
                     "s1": list(s1.coeffs()),
                     "s2": list(s2.coeffs()),
@@ -178,14 +188,18 @@ def feher_klein_pair(p: int, q: int, k: int, n: int) -> tuple[KleinPair, Form, F
     if g != 1:
         raise NotCoprime(f"gcd({p}, {q}) = {g}")
     r = -negr  # p*s - q*r = 1
-    assert p * s - q * r == 1
+    if p * s - q * r != 1:
+        raise AssertionError(f"p*s - q*r = {p * s - q * r}, expected 1")
     a1 = Mat2(-1 + 2 * k * p, 2 * q, -2 * n * p, 1 - 2 * k * p)
     a2 = Mat2(1, 2 * p, 2 * (k * k * p - k - n * q), -1)
     pair = KleinPair(a1, a2)
     target_l = Form(p * q, 1 - 2 * k * p, n)
     target_pp = Form(p * q, 2 * k * p - 1 - 2 * q * r, r * s - 2 * k * r + n)
     plane = klein_inverse(pair)
-    assert is_symplectic(plane)
-    assert FormClass.of(q_of_plane(plane)) == FormClass.of(target_l)
-    assert FormClass.of(q_of_plane(symplectic_complement(plane))) == FormClass.of(target_pp)
+    if not is_symplectic(plane):
+        raise AssertionError(f"the plane of {pair} is not symplectic")
+    if FormClass.of(q_of_plane(plane)) != FormClass.of(target_l):
+        raise AssertionError(f"[q_L] differs from the target {target_l}")
+    if FormClass.of(q_of_plane(symplectic_complement(plane))) != FormClass.of(target_pp):
+        raise AssertionError(f"[q_Lperp] differs from the target {target_pp}")
     return pair, target_l, target_pp

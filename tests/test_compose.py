@@ -1,3 +1,4 @@
+import time
 from math import gcd
 
 import pytest
@@ -238,6 +239,29 @@ class TestClassGroup:
 class TestSpecialClasses:
     def test_divisor_pair_order(self):
         assert divisor_pairs(6)[:4] == [(1, 6), (-1, -6), (2, 3), (-2, -3)]
+
+    def test_divisor_pairs_match_definition(self):
+        # the O(|m|) definition: every d in 1..|m| dividing m, in order
+        for m in range(-500, 501):
+            if m == 0:
+                continue
+            expected = []
+            for d in range(1, abs(m) + 1):
+                if m % d == 0:
+                    expected += [(d, m // d), (-d, m // -d)]
+            assert divisor_pairs(m) == expected, m
+
+    def test_divisor_pairs_zero(self):
+        assert divisor_pairs(0) == [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+    def test_divisor_pairs_large(self):
+        m = 10**12 + 39
+        t0 = time.perf_counter()
+        pairs = divisor_pairs(m)
+        assert time.perf_counter() - t0 < 2.0
+        assert pairs[:2] == [(1, m), (-1, -m)]
+        assert all(a * c == m for a, c in pairs)
+        assert [abs(a) for a, _ in pairs] == sorted(abs(a) for a, _ in pairs)
 
     def test_minus_23(self):
         classes = {s.cls for s in special_classes(-23)}

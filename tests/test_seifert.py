@@ -1,3 +1,4 @@
+import time
 from math import gcd
 
 import pytest
@@ -118,6 +119,30 @@ class TestB4Distinguishable:
             b4_distinguishable(form_class(1, 1, 6), form_class(1, 1, 18))
 
 
+def _pairwise_oracle(D, include_nonprimitive):
+    """The enumeration by definition: a witness search on every i <= j pair."""
+    classes = list(class_group(D).elements)
+    if include_nonprimitive:
+        m = 3
+        while m * m <= abs(D):
+            if D % (m * m) == 0:  # m odd, so D / m^2 = 1 mod 4 as well
+                for s in class_group(D // (m * m)).elements:
+                    classes.append(form_class(*(m * x for x in s.coeffs())))
+            m += 2
+        classes.sort(key=lambda s: s.coeffs())
+    out = []
+    for i, s1 in enumerate(classes):
+        for s2 in classes[i:]:
+            if realizable_disjoint_pair(s1, s2)[0]:
+                out.append({
+                    "s1": list(s1.coeffs()),
+                    "s2": list(s2.coeffs()),
+                    "b4_distinguishable": b4_distinguishable(s1, s2),
+                })
+    out.sort(key=lambda d: (d["s1"], d["s2"]))
+    return out
+
+
 class TestEnumeratePairs:
     def test_minus_23_table(self):
         pairs = enumerate_realizable_pairs(-23)
@@ -164,6 +189,25 @@ class TestEnumeratePairs:
 
     def test_sorted_deterministically(self):
         pairs = enumerate_realizable_pairs(-23)
+        assert pairs == sorted(pairs, key=lambda p: (p["s1"], p["s2"]))
+
+    @pytest.mark.parametrize("D, include_nonprimitive", [
+        *((d, False) for d in range(-299, 0, 4)),
+        *((d, False) for d in (5, 13, 17, 21, 25, 45, 49, 145, 221)),
+        (-207, True), (-275, True), (225, True),
+    ])
+    def test_matches_pairwise_definition(self, D, include_nonprimitive):
+        pairs = enumerate_realizable_pairs(D, include_nonprimitive=include_nonprimitive)
+        assert pairs == _pairwise_oracle(D, include_nonprimitive)
+
+    def test_large_discriminant_within_budget(self):
+        # h = 174 classes and 64 witnesses: 15,225 pair tests, but 174 cosets
+        t0 = time.perf_counter()
+        pairs = enumerate_realizable_pairs(-5279)
+        assert time.perf_counter() - t0 < 5.0
+        names = {s.coeffs() for s in class_group(-5279).elements}
+        assert len(names) == 174
+        assert {tuple(p["s1"]) for p in pairs if p["s1"] == p["s2"]} == names
         assert pairs == sorted(pairs, key=lambda p: (p["s1"], p["s2"]))
 
 
