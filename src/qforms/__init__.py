@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .forms import (  # noqa: F401
     Form,
     FormClass,
-    UnimodularMatrix,
+    Mat2,
     act,
     bar,
     canonical,

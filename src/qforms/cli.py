@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from . import compose, cube as cube_mod, lattice, seifert
 from .errors import DomainError, MismatchedDiscriminant, NotSquareDiscriminant
-from .forms import Form, FormClass, canonical, discriminant, form_class
+from .forms import Form, FormClass, Mat2, canonical, discriminant, form_class
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -180,12 +180,12 @@ def _klein_doc(plane: lattice.Plane) -> dict:
 def _cmd_klein(args) -> None:
     if args.plane is not None:
         v = args.plane
-        plane = lattice.Plane.from_basis(lattice.Mat2.from_coords(*v[:4]),
-                                         lattice.Mat2.from_coords(*v[4:]))
+        plane = lattice.Plane.from_basis(Mat2.from_coords(*v[:4]),
+                                         Mat2.from_coords(*v[4:]))
     else:
         v = args.pair
         plane = lattice.klein_inverse(lattice.KleinPair(
-            lattice.Mat2(*v[:4]), lattice.Mat2(*v[4:])))
+            Mat2(*v[:4]), Mat2(*v[4:])))
     doc = _klein_doc(plane)
     lines = [
         "plane basis: " + " | ".join(" ".join(map(str, row)) for row in doc["plane"]["basis"]),

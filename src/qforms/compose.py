@@ -11,7 +11,13 @@ a1 | c2 and a2 | c1), whose composite is
     a1*a2*x^2 + b*x*y + ((b^2 - D) / (4*a1*a2))*y^2.
 
 The resulting class is independent of all choices and has content
-content(q1) * content(q2).
+content(q1) * content(q2).  The representatives are found in closed
+form, not by search: q1 is moved to a form whose leading coefficient a1
+is coprime to content(q2), then q2 to one whose leading coefficient a2
+is coprime to a1.  Each move is one SL2(Z) substitution whose first
+column (x, y) is built from gcds alone, so that q(x, y) is coprime to
+the target.  The common middle coefficient b then follows from the
+Chinese remainder theorem.
 
 Class groups are enumerated per discriminant regime: Gauss-reduced forms
 of both definiteness signs for D < 0, reduced cycles for positive
@@ -57,30 +63,37 @@ from .forms import (
 # Concordance and Dirichlet composition
 
 
-def _height_shells(limit: int):
-    # (1, 0) and (0, 1) first, then shells by height in a fixed order
-    yield (1, 0)
-    yield (0, 1)
-    for h in range(1, limit + 1):
-        shell = [(x, y) for x in range(-h, h + 1) for y in range(-h, h + 1)
-                 if max(abs(x), abs(y)) == h and (x, y) not in ((1, 0), (0, 1))]
-        for x, y in shell:
-            if gcd(x, y) == 1:
-                yield (x, y)
-
-
 def _with_leading(f: Form, coprime_to: int) -> Form:
     """An equivalent form whose leading coefficient is nonzero and coprime
-    to ``coprime_to``; found by searching primitively represented values
-    in a fixed height order."""
-    for x, y in _height_shells(1 << 12):
-        v = f(x, y)
-        if v != 0 and gcd(v, coprime_to) == 1:
-            if (x, y) == (1, 0):
-                return f
-            g = _extend_unimodular(x, y)
-            return substitute(f, g.m11, g.m12, g.m21, g.m22)
-    raise NotCoprimeContent(f"no representation coprime to {coprime_to} found for {f}")
+    to N = |coprime_to|; requires gcd(N, content(f)) = 1.
+
+    Closed form (Cox, Primes of the form x^2 + ny^2, Lemma 2.25): y is the
+    largest divisor of N coprime to a, x the largest divisor of N / y
+    coprime to c.  Every prime p | N then divides exactly one of x, y, or
+    neither when p divides a and c (and so not b), so p does not divide
+    f(x, y) = a x^2 + b x y + c y^2.
+    """
+    a, b, c = f.a, f.b, f.c
+    n = abs(coprime_to)
+    if a != 0 and gcd(a, n) == 1:
+        return f
+    if c != 0 and gcd(c, n) == 1:
+        return Form(c, -b, a)  # the S-swap (x, y) -> (-y, x)
+    if n == 1:  # a = c = 0: f(x, x + y) = b x^2 + b x y
+        return Form(b, b, 0)
+    y = _coprime_part(n, a)
+    x = _coprime_part(n // y, c)
+    g = _extend_unimodular(x, y)
+    return substitute(f, g.m11, g.m12, g.m21, g.m22)
+
+
+def _coprime_part(n: int, a: int) -> int:
+    # the largest divisor of n coprime to a, by gcd steps, no factoring
+    g = gcd(n, a)
+    while g != 1:
+        n //= g
+        g = gcd(n, g)
+    return n
 
 
 def _translate_middle(f: Form, b: int, D: int) -> Form:
@@ -148,11 +161,6 @@ def class_bar(s: FormClass) -> FormClass:
     return FormClass.of(bar(s.representative))
 
 
-def class_neg(s: FormClass) -> FormClass:
-    """[q] -> [-q], defined for every class."""
-    return FormClass.of(neg(s.representative))
-
-
 def class_power(s: FormClass, n: int) -> FormClass:
     """s**n for primitive s, n >= 0 (n < 0 via the inverse)."""
     if n < 0:
@@ -197,9 +205,6 @@ class OrientedClassGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def index_of(self, s: FormClass) -> int:
-        return self.elements.index(s)
 
     def table(self) -> list[list[int]]:
         """The composition table as an index matrix, computed lazily."""

@@ -29,8 +29,8 @@ from .errors import (
     ZeroDiscriminant,
     ZeroForm,
 )
-from .forms import GEN_S, Form, FormClass, act, content, discriminant
-from .lattice import KleinPair, Mat2, gross, klein_inverse
+from .forms import GEN_S, Form, FormClass, Mat2, act, content, discriminant
+from .lattice import KleinPair, gross, klein_inverse
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,3 @@ def negate_layer(cube: Cube, axis: int, side: int) -> Cube:
         lambda i, j, k: -cube.entry(i, j, k) if coord(i, j, k) == side else cube.entry(i, j, k)
     )
 
-
-def cube_symmetries(cube: Cube, op: str, axis: int = 1, side: int = 0) -> Cube:
-    """Dispatch for the two cube symmetries: ``reflect`` and ``negate_layer``."""
-    if op == "reflect":
-        return reflect(cube)
-    if op == "negate_layer":
-        return negate_layer(cube, axis, side)
-    raise ValueError(f"unknown cube symmetry {op!r}")

@@ -53,41 +53,79 @@ class Form:
 
 
 @dataclass(frozen=True)
-class UnimodularMatrix:
-    """A 2x2 integer matrix of determinant exactly 1 (SL2(Z))."""
+class Mat2:
+    """A 2x2 integer matrix; SL2(Z) elements are the ones of determinant 1.
+
+    It is also a vector in Z^4 through the basis B of :mod:`qforms.lattice`.
+    """
 
     m11: int
     m12: int
     m21: int
     m22: int
 
-    def __post_init__(self) -> None:
-        if self.m11 * self.m22 - self.m12 * self.m21 != 1:
-            raise NotUnimodular("determinant must be 1")
-
-    @staticmethod
-    def identity() -> "UnimodularMatrix":
-        return UnimodularMatrix(1, 0, 0, 1)
-
-    def __matmul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
-        return UnimodularMatrix(
+    def __matmul__(self, other: "Mat2") -> "Mat2":
+        return Mat2(
             self.m11 * other.m11 + self.m12 * other.m21,
             self.m11 * other.m12 + self.m12 * other.m22,
             self.m21 * other.m11 + self.m22 * other.m21,
             self.m21 * other.m12 + self.m22 * other.m22,
         )
 
-    def inverse(self) -> "UnimodularMatrix":
-        return UnimodularMatrix(self.m22, -self.m12, -self.m21, self.m11)
+    def __add__(self, other: "Mat2") -> "Mat2":
+        return Mat2(self.m11 + other.m11, self.m12 + other.m12,
+                    self.m21 + other.m21, self.m22 + other.m22)
+
+    def __sub__(self, other: "Mat2") -> "Mat2":
+        return Mat2(self.m11 - other.m11, self.m12 - other.m12,
+                    self.m21 - other.m21, self.m22 - other.m22)
+
+    def __neg__(self) -> "Mat2":
+        return Mat2(-self.m11, -self.m12, -self.m21, -self.m22)
+
+    def scale(self, k: int) -> "Mat2":
+        return Mat2(k * self.m11, k * self.m12, k * self.m21, k * self.m22)
+
+    def bar(self) -> "Mat2":
+        """The adjugate; x @ x.bar() = det(x) I, so the inverse in SL2(Z)."""
+        return Mat2(self.m22, -self.m12, -self.m21, self.m11)
+
+    def trace(self) -> int:
+        return self.m11 + self.m22
+
+    def det(self) -> int:
+        return self.m11 * self.m22 - self.m12 * self.m21
+
+    def coords(self) -> tuple[int, int, int, int]:
+        """Coordinates in the fixed basis B of :mod:`qforms.lattice`."""
+        return (self.m11, self.m22, -self.m21, self.m12)
+
+    @staticmethod
+    def from_coords(x1: int, x2: int, x3: int, x4: int) -> "Mat2":
+        return Mat2(x1, x4, -x3, x2)
+
+    @staticmethod
+    def identity() -> "Mat2":
+        return Mat2(1, 0, 0, 1)
 
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.m11, self.m12), (self.m21, self.m22))
 
+    @staticmethod
+    def from_rows(rows) -> "Mat2":
+        (a, b), (c, d) = rows
+        return Mat2(a, b, c, d)
+
+
+def _require_sl2(g: Mat2) -> None:
+    if g.det() != 1:
+        raise NotUnimodular(f"determinant of {g} must be 1")
+
 
 # Generators of SL2(Z) used by the brute-force orbit oracle in the tests.
-GEN_S = UnimodularMatrix(0, -1, 1, 0)
-GEN_T = UnimodularMatrix(1, 1, 0, 1)
-GEN_T_INV = UnimodularMatrix(1, -1, 0, 1)
+GEN_S = Mat2(0, -1, 1, 0)
+GEN_T = Mat2(1, 1, 0, 1)
+GEN_T_INV = Mat2(1, -1, 0, 1)
 
 
 def discriminant(f: Form) -> int:
@@ -112,12 +150,14 @@ def substitute(f: Form, m11: int, m12: int, m21: int, m22: int) -> Form:
     return Form(a, b, c)
 
 
-def act(g: UnimodularMatrix, f: Form) -> Form:
+def act(g: Mat2, f: Form) -> Form:
     """Left SL2(Z) action fixed by gross(act(g, f)) = g gross(f) g^-1.
 
     Concretely this is substitution by j g^T j with j = diag(1, -1); it
     preserves discriminant and content, and act(g @ h, f) == act(g, act(h, f)).
+    Raises NotUnimodular unless det(g) == 1.
     """
+    _require_sl2(g)
     return substitute(f, g.m11, -g.m21, -g.m12, g.m22)
 
 
@@ -181,20 +221,23 @@ def _rho(a: int, b: int, c: int, D: int, sq: int) -> tuple[int, int, int]:
     return c, r, (r * r - D) // (4 * c)
 
 
-def _reduced_cycle(f: Form, D: int) -> list[tuple[int, int, int]]:
-    """All reduced forms properly equivalent to f (D > 0 non-square)."""
+def _cycle_min(f: Form, D: int) -> tuple[int, int, int]:
+    """The least reduced form properly equivalent to f (D > 0 non-square).
+
+    Walks the cycle once, keeping only a running minimum: O(1) memory.
+    """
     sq = isqrt(D)
     a, b, c = f.a, f.b, f.c
     # c == 0 would force D = b^2, excluded in this regime
     while not _is_reduced_indefinite(a, b, D):
         a, b, c = _rho(a, b, c, D, sq)
-    first = (a, b, c)
-    cycle = [first]
+    first = best = (a, b, c)
     while True:
-        a, b, c = _rho(a, b, c, D, sq)
-        if (a, b, c) == first:
-            return cycle
-        cycle.append((a, b, c))
+        a, b, c = t = _rho(a, b, c, D, sq)
+        if t == first:
+            return best
+        if t < best:
+            best = t
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +257,13 @@ def _primitive_zero(f: Form, N: int) -> tuple[int, int]:
     return (x0, y0)
 
 
-def _extend_unimodular(x0: int, y0: int) -> UnimodularMatrix:
+def _extend_unimodular(x0: int, y0: int) -> Mat2:
     """Some g in SL2(Z) whose first column is the primitive vector (x0, y0)."""
     g0, u, v = _ext_gcd(x0, y0)
     if g0 != 1:
         raise ValueError("vector is not primitive")
     # x0 * u + y0 * v = 1, so ((x0, -v), (y0, u)) has determinant 1
-    return UnimodularMatrix(x0, -v, y0, u)
+    return Mat2(x0, -v, y0, u)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -287,7 +330,7 @@ def canonical(f: Form) -> Form:
     N = isqrt(D)
     if N * N == D:
         return _canonical_square(f, D)
-    return Form(*min(_reduced_cycle(f, D)))
+    return Form(*_cycle_min(f, D))
 
 
 def is_equivalent(f1: Form, f2: Form) -> bool:

@@ -1,6 +1,7 @@
 """Planes in Z^4 ~ M2(Z) and the Klein correspondence.
 
-Z^4 is identified with the 2x2 integer matrices through the fixed basis
+Z^4 is identified with the 2x2 integer matrices (``forms.Mat2``)
+through the fixed basis
 
     B = (b1, b2, b3, b4) = ([[1,0],[0,0]], [[0,0],[0,1]],
                             [[0,0],[-1,0]], [[0,1],[0,0]])
@@ -39,69 +40,7 @@ from .errors import (
     ZeroDeterminant,
     ZeroDiscriminant,
 )
-from .forms import Form, FormClass, bar as form_bar, content, discriminant
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """A 2x2 integer matrix, identified with a vector in Z^4 via B."""
-
-    m11: int
-    m12: int
-    m21: int
-    m22: int
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.m11 + other.m11, self.m12 + other.m12,
-                    self.m21 + other.m21, self.m22 + other.m22)
-
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.m11 - other.m11, self.m12 - other.m12,
-                    self.m21 - other.m21, self.m22 - other.m22)
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.m11, -self.m12, -self.m21, -self.m22)
-
-    def scale(self, k: int) -> "Mat2":
-        return Mat2(k * self.m11, k * self.m12, k * self.m21, k * self.m22)
-
-    def bar(self) -> "Mat2":
-        """The adjugate; x @ x.bar() = det(x) I."""
-        return Mat2(self.m22, -self.m12, -self.m21, self.m11)
-
-    def trace(self) -> int:
-        return self.m11 + self.m22
-
-    def det(self) -> int:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def coords(self) -> tuple[int, int, int, int]:
-        """Coordinates in the fixed basis B of the module docstring."""
-        return (self.m11, self.m22, -self.m21, self.m12)
-
-    @staticmethod
-    def from_coords(x1: int, x2: int, x3: int, x4: int) -> "Mat2":
-        return Mat2(x1, x4, -x3, x2)
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1, 0, 0, 1)
-
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.m11, self.m12), (self.m21, self.m22))
-
-    @staticmethod
-    def from_rows(rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2(a, b, c, d)
+from .forms import Form, FormClass, Mat2, bar as form_bar, content, discriminant, _require_sl2
 
 
 MAT_J = Mat2(1, 0, 0, -1)
@@ -268,9 +207,6 @@ class KleinPair:
     a1: Mat2
     a2: Mat2
 
-    def dets(self) -> tuple[int, int]:
-        return (self.a1.det(), self.a2.det())
-
 
 def q_of_plane(plane: Plane) -> Form:
     """q_L(x, y) = det(v1) x^2 + tr(v1 bar(v2)) xy + det(v2) y^2."""
@@ -338,19 +274,23 @@ def _orientation_sign(basis: tuple[Mat2, Mat2], ref: tuple[Mat2, Mat2]) -> int:
             mw = wrows[0][j] * wrows[1][k] - wrows[0][k] * wrows[1][j]
             if mw != 0:
                 mr = rrows[0][j] * rrows[1][k] - rrows[0][k] * rrows[1][j]
-                assert mr != 0  # ref spans the same plane with det(C) != 0
+                if mr == 0:  # ref spans the same plane with det(C) != 0
+                    raise AssertionError(f"{ref} does not span the plane of {basis}")
                 s = (mr > 0) - (mr < 0)
                 return s * ((mw > 0) - (mw < 0))
     raise ZeroDeterminant("degenerate basis")
 
 
-def transform_plane(plane: Plane, g1, g2) -> Plane:
-    """The (g1, g2)-action x -> g1 x g2^-1 on the plane (g_i in SL2(Z))."""
-    m1 = Mat2.from_rows(g1.rows()) if not isinstance(g1, Mat2) else g1
-    m2 = Mat2.from_rows(g2.rows()) if not isinstance(g2, Mat2) else g2
-    m2inv = m2.bar()  # determinant 1
+def transform_plane(plane: Plane, g1: Mat2, g2: Mat2) -> Plane:
+    """The (g1, g2)-action x -> g1 x g2^-1 on the plane (g_i in SL2(Z)).
+
+    Raises NotUnimodular unless det(g1) == det(g2) == 1.
+    """
+    _require_sl2(g1)
+    _require_sl2(g2)
+    g2inv = g2.bar()
     v1, v2 = plane.basis()
-    return Plane.from_basis(m1 @ v1 @ m2inv, m1 @ v2 @ m2inv)
+    return Plane.from_basis(g1 @ v1 @ g2inv, g1 @ v2 @ g2inv)
 
 
 def orth_complement(plane: Plane) -> Plane:
@@ -370,7 +310,8 @@ def symplectic_basis(plane: Plane) -> tuple[Mat2, Mat2]:
     if not is_symplectic(plane):
         raise NotSymplectic("plane admits no symplectic basis")
     v1, v2 = plane.basis()
-    assert sympl_theta(v1, v2) == 1
+    if sympl_theta(v1, v2) != 1:
+        raise AssertionError(f"stored basis of {plane} is not symplectic")
     return (v1, v2)
 
 

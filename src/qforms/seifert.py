@@ -31,8 +31,8 @@ from .compose import (
     _require_one_mod_4,
 )
 from .errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, OutOfRange
-from .forms import Form, FormClass, form_class, _ext_gcd
-from .lattice import KleinPair, Mat2, is_symplectic, klein_inverse, q_of_plane, symplectic_complement
+from .forms import Form, FormClass, Mat2, form_class, _ext_gcd
+from .lattice import KleinPair, is_symplectic, klein_inverse, q_of_plane, symplectic_complement
 
 Witness = tuple[int, int]
 

@@ -2,10 +2,16 @@ import random
 
 import pytest
 
-from qforms.forms import GEN_S, GEN_T, GEN_T_INV, Form, UnimodularMatrix, content, discriminant
+from qforms.forms import GEN_S, GEN_T, GEN_T_INV, Form, Mat2, content, discriminant
 from qforms.lattice import KleinPair, gross
 
 from math import gcd
+
+
+@pytest.fixture(autouse=True)
+def _cache_dir(tmp_path, monkeypatch):
+    """Keep the CLI's class-group cache out of the working directory."""
+    monkeypatch.setenv("QFORMS_CACHE_DIR", str(tmp_path / "qforms-cache"))
 
 
 @pytest.fixture
@@ -22,7 +28,7 @@ def random_form(rng, lo=-10, hi=10):
 
 
 def random_sl2(rng, length=8):
-    g = UnimodularMatrix.identity()
+    g = Mat2.identity()
     for _ in range(rng.randint(1, length)):
         g = g @ rng.choice((GEN_S, GEN_T, GEN_T_INV))
     return g

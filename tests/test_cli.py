@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,27 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def readme_examples():
+    """The `qforms ...` lines of the README's command-line block, without --json."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = (line.split("#", 1)[0].split() for line in block.splitlines())
+    return [" ".join(a for a in words[1:] if a != "--json")
+            for words in lines if words[:1] == ["qforms"]]
+
+
+# stdout of each README example in both modes; any changed byte is a changed output
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("cmd", readme_examples())
+def test_readme_example_golden(capsys, cmd, mode):
+    argv = cmd.split() + (["--json"] if mode == "json" else [])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == GOLDEN[cmd][mode]
 
 
 class TestBasicCommands:

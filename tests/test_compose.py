@@ -1,9 +1,12 @@
 import time
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
 from conftest import forms_of_disc, random_form
+from search_oracle import compose_by_search
 from qforms.compose import (
     OrientedClassGroup,
     class_bar,
@@ -30,7 +33,7 @@ from qforms.errors import (
     NotOneMod4,
     NotPrimitive,
 )
-from qforms.forms import Form, FormClass, bar, content, discriminant, form_class, neg
+from qforms.forms import Form, FormClass, Mat2, act, bar, content, discriminant, form_class, neg
 
 
 def composable_partner(f, bound=9):
@@ -71,6 +74,75 @@ class TestConcordance:
     def test_rejects_common_content(self):
         with pytest.raises(NotCoprimeContent):
             concordant_pair(Form(2, 4, 6), Form(2, 0, 4))
+
+
+def same_disc_form(rng, D, bound):
+    """A random form of discriminant D with |b| <= bound."""
+    while True:
+        b = rng.randint(-bound, bound)
+        if (b - D) % 2:
+            continue
+        m = (b * b - D) // 4  # a * c
+        if m == 0:  # square D, b^2 = D: one of a, c is zero
+            k = rng.randint(-bound, bound)
+            t = (0, b, k) if rng.random() < 0.5 else (k, b, 0)
+            if t != (0, 0, 0):
+                return Form(*t)
+            continue
+        a = rng.choice([d for d in range(1, abs(m) + 1) if m % d == 0]) * rng.choice((1, -1))
+        return Form(a, b, m // a)
+
+
+def is_concordant(h1, h2):
+    return (h1.b == h2.b and h1.a != 0 and h2.a != 0 and gcd(h1.a, h2.a) == 1
+            and h2.c % h1.a == 0 and h1.c % h2.a == 0)
+
+
+class TestClosedFormConcordance:
+    def test_general_path(self):
+        # neither (1, 0) nor (0, 1) gives a leading coefficient coprime to 30
+        h1, h2 = concordant_pair(Form(30, 1, 2), Form(6, 1, 10))
+        assert is_concordant(h1, h2)
+        assert FormClass.of(dirichlet_compose(Form(30, 1, 2), Form(6, 1, 10))) == form_class(3, 1, 20)
+
+    def test_agrees_with_search_oracle(self, rng):
+        kinds = dict.fromkeys(("definite", "indefinite", "nonprimitive", "square_zero"), 0)
+        while min(kinds.values()) < 150:
+            f1 = random_form(rng, -30, 30)
+            D = discriminant(f1)
+            f2 = same_disc_form(rng, D, 40)
+            if gcd(content(f1), content(f2)) != 1:
+                continue
+            h1, h2 = concordant_pair(f1, f2)
+            assert is_concordant(h1, h2)
+            assert FormClass.of(dirichlet_compose(f1, f2)) == FormClass.of(compose_by_search(f1, f2))
+            if content(f1) * content(f2) > 1:
+                kinds["nonprimitive"] += 1
+            elif 0 in (f1.a, f1.c, f2.a, f2.c) and D > 0 and isqrt(D) ** 2 == D:
+                kinds["square_zero"] += 1
+            else:
+                kinds["definite" if D < 0 else "indefinite"] += 1
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(a=st.integers(-10**15, 10**15), c=st.integers(-10**15, 10**15),
+           k=st.integers(-10**15, 10**15), b=st.integers(-10**30, 10**30),
+           t=st.integers(-10**3, 10**3))
+    def test_postconditions_large(self, a, c, k, b, t):
+        # f1 = (ak, b, c) and f2 = (a, b, ck) share D = b^2 - 4akc; f2 is
+        # then moved by a shear in SL2(Z) so the middle coefficients differ
+        assume((a * k, b, c) != (0, 0, 0) and (a, b, c * k) != (0, 0, 0))
+        assume(b * b != 4 * a * k * c)
+        f1 = Form(a * k, b, c)
+        f2 = act(Mat2(1, t, 0, 1), Form(a, b, c * k))
+        assume(gcd(content(f1), content(f2)) == 1)
+        h1, h2 = concordant_pair(f1, f2)
+        assert is_concordant(h1, h2)
+        assert discriminant(h1) == discriminant(h2) == discriminant(f1)
+        assert (content(h1), content(h2)) == (content(f1), content(f2))
+        if discriminant(f1) < 0:  # definite reduction is cheap at any size
+            assert FormClass.of(h1) == FormClass.of(f1)
+            assert FormClass.of(h2) == FormClass.of(f2)
 
 
 class TestDirichlet:

@@ -7,7 +7,6 @@ from qforms.cube import (
     Cube,
     cube_from_forms,
     cube_law_check,
-    cube_symmetries,
     negate_layer,
     reflect,
     slicings,
@@ -137,10 +136,3 @@ class TestSymmetries:
             for axis in (1, 2, 3):
                 assert cube_law_check(negate_layer(box, axis, 0))
             assert cube_law_check(reflect(box))
-
-    def test_dispatch(self):
-        box = Cube((1, -6, 1, 0, 0, -6, 1, -1))
-        assert cube_symmetries(box, "reflect") == reflect(box)
-        assert cube_symmetries(box, "negate_layer", 2, 1) == negate_layer(box, 2, 1)
-        with pytest.raises(ValueError):
-            cube_symmetries(box, "spin")

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,7 @@ from qforms.forms import (
     GEN_T_INV,
     Form,
     FormClass,
-    UnimodularMatrix,
+    Mat2,
     act,
     bar,
     canonical,
@@ -54,7 +55,7 @@ class TestBasics:
 
     def test_unimodular_det_checked(self):
         with pytest.raises(NotUnimodular):
-            UnimodularMatrix(1, 0, 0, -1)
+            act(Mat2(1, 0, 0, -1), Form(2, 1, 3))
 
     def test_bar(self):
         assert bar(Form(2, 1, 3)) == Form(2, -1, 3)
@@ -75,7 +76,7 @@ class TestBasics:
 class TestAction:
     def test_identity(self):
         f = Form(3, 1, -2)
-        assert act(UnimodularMatrix.identity(), f) == f
+        assert act(Mat2.identity(), f) == f
 
     def test_s_swap(self):
         assert act(GEN_S, Form(6, 1, 1)) == Form(1, -1, 6)
@@ -84,6 +85,11 @@ class TestAction:
         # conjugation by T lands in the same class as the b -> b + 2a shift
         out = act(GEN_T, Form(1, -1, 6))
         assert is_equivalent(out, Form(1, 1, 6))
+
+    def test_rejects_det_minus_one(self):
+        # substitution by a det -1 matrix would land in the inverse class
+        with pytest.raises(NotUnimodular):
+            act(Mat2(0, 1, 1, 0), Form(2, 1, 3))
 
     def test_gross_equivariance(self, rng):
         for _ in range(200):
@@ -132,6 +138,19 @@ class TestCanonical:
             assert content(cf) == content(f)
             g = random_sl2(rng, length=10)
             assert canonical(act(g, f)) == cf
+
+    def test_indefinite_cycle_memory(self):
+        # D = 10^12 + 65: the principal cycle has 13,186 reduced forms;
+        # holding them all would take about 1.8 MB
+        f = Form(1, 1, -(10**12 + 64) // 4)
+        tracemalloc.start()
+        try:
+            got = canonical(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == Form(-968736, 937503, 31249)
+        assert peak < 1 << 20
 
     def test_definite_reduced_shape(self, rng):
         for _ in range(200):

@@ -8,6 +8,7 @@ from qforms.errors import (
     NotGross,
     NotPairPrimitive,
     NotSymplectic,
+    NotUnimodular,
     ZeroDeterminant,
 )
 from qforms.forms import Form, FormClass, bar, content, discriminant, form_class, neg
@@ -253,6 +254,12 @@ class TestKleinInverse:
             m1, m2 = Mat2.from_rows(g1.rows()), Mat2.from_rows(g2.rows())
             assert moved.a1 == m1 @ pair.a1 @ m1.bar()
             assert moved.a2 == m2 @ pair.a2 @ m2.bar()
+
+    def test_transform_requires_sl2(self):
+        flip = Mat2(0, 1, 1, 0)
+        for g1, g2 in ((flip, Mat2.identity()), (Mat2.identity(), flip)):
+            with pytest.raises(NotUnimodular):
+                transform_plane(PLANE_23, g1, g2)
 
     def test_json_round_trip(self, rng):
         pair = random_klein_pair(rng)
