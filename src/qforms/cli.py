@@ -1,22 +1,30 @@
 """Command-line interface.
 
-Every subcommand prints deterministic text by default and a JSON document
-with ``--json``; identical invocations produce byte-identical output.
-Exit codes: 0 success, 1 domain error (with a stable machine-readable
-code in JSON mode), 2 usage error.
+Every subcommand builds one JSON document and renders its text form from
+that document; ``main`` prints the document with ``--json`` and the text
+otherwise.  Identical invocations produce byte-identical output.  Exit
+codes: 0 success, 1 domain error (with a stable machine-readable code in
+JSON mode), 2 usage error.
+
+Only ``classgroup`` keeps a cache, ``classgroup_<D>.json`` under
+``--cache-dir``: the document it prints plus ``"schema": 1``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 
 from . import __version__
 from . import compose, cube as cube_mod, lattice, seifert
 from .errors import DomainError, MismatchedDiscriminant, NotSquareDiscriminant
 from .forms import Form, FormClass, Mat2, canonical, discriminant, form_class
+
+SCHEMA = 1
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -26,8 +34,14 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON instead of text")
     common.add_argument("--cache-dir", metavar="DIR", default=argparse.SUPPRESS,
-                        help="class-group cache directory (default: $QFORMS_CACHE_DIR or .qforms-cache)")
+                        help="where `classgroup` caches its output; entries are checked "
+                             "before use (default: $QFORMS_CACHE_DIR or .qforms-cache)")
     return common
+
+
+def _add_disc(p: argparse.ArgumentParser) -> None:
+    p.add_argument("disc", type=int, nargs="?", help="discriminant (bare, possibly negative)")
+    p.add_argument("--disc", dest="disc_opt", type=int, help="discriminant (flag form)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,30 +55,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qforms {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reduce", parents=[common], help="canonical representative of a form")
+    def command(subs, name: str, run, help: str) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, parents=[common], help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command(sub, "reduce", _cmd_reduce, "canonical representative of a form")
     p.add_argument("coeffs", type=int, nargs=3, metavar="INT", help="coefficients a b c")
 
-    p = sub.add_parser("compose", parents=[common], help="Gauss composition of two classes")
+    p = command(sub, "compose", _cmd_compose, "Gauss composition of two classes")
     p.add_argument("coeffs", type=int, nargs=6, metavar="INT",
                    help="coefficients a1 b1 c1 a2 b2 c2")
 
-    p = sub.add_parser("classgroup", parents=[common], help="the oriented class group of a discriminant")
-    p.add_argument("disc", type=int, nargs="?", help="discriminant (bare, possibly negative)")
-    p.add_argument("--disc", dest="disc_opt", type=int, help="discriminant (flag form)")
+    _add_disc(command(sub, "classgroup", _cmd_classgroup, "the oriented class group of a discriminant"))
+    _add_disc(command(sub, "special-squares", _cmd_special_squares,
+                      "squares of the classes [a x^2 + x y + c y^2] with 1 - 4ac = D"))
 
-    p = sub.add_parser("special-squares", parents=[common],
-                       help="squares of the classes [a x^2 + x y + c y^2] with 1 - 4ac = D")
-    p.add_argument("disc", type=int, nargs="?")
-    p.add_argument("--disc", dest="disc_opt", type=int)
-
-    p = sub.add_parser("klein", parents=[common], help="Klein correspondence of a plane or a vector pair")
+    p = command(sub, "klein", _cmd_klein, "Klein correspondence of a plane or a vector pair")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--plane", type=int, nargs=8, metavar="X",
                      help="two basis vectors, 4 coordinates each (basis-B order)")
     grp.add_argument("--pair", type=int, nargs=8, metavar="A",
                      help="two Gross vectors, row-major 2x2 entries each")
 
-    p = sub.add_parser("cube", parents=[common], help="Bhargava cube slicings and the cube law")
+    p = command(sub, "cube", _cmd_cube, "Bhargava cube slicings and the cube law")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--from-forms", type=int, nargs=6, metavar="C",
                      help="build a cube realizing two forms (A1 B1 C1 A2 B2 C2)")
@@ -73,72 +87,136 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seifert", parents=[common], help="Seifert-form realization queries")
     ssub = p.add_subparsers(dest="seifert_command", required=True)
-    q = ssub.add_parser("exists", parents=[common], help="does a B^4-non-isotopic pair exist for D?")
-    q.add_argument("disc", type=int, nargs="?")
-    q.add_argument("--disc", dest="disc_opt", type=int)
-    q = ssub.add_parser("pair", parents=[common], help="is (s1, s2) realizable by a disjoint pair?")
+    _add_disc(command(ssub, "exists", _cmd_seifert_exists, "does a B^4-non-isotopic pair exist for D?"))
+    q = command(ssub, "pair", _cmd_seifert_pair, "is (s1, s2) realizable by a disjoint pair?")
     q.add_argument("args", type=int, nargs=7, metavar="INT",
                    help="discriminant then coefficients: D a1 b1 c1 a2 b2 c2")
-    q = ssub.add_parser("pairs", parents=[common], help="all realizable pairs of primitive classes")
-    q.add_argument("disc", type=int, nargs="?")
-    q.add_argument("--disc", dest="disc_opt", type=int)
+    q = command(ssub, "pairs", _cmd_seifert_pairs, "all realizable pairs of primitive classes")
+    _add_disc(q)
     q.add_argument("--include-nonprimitive", action="store_true",
                    help="also stratify over non-primitive classes")
-    q = ssub.add_parser("feher", parents=[common], help="Klein pair of the (p, q, k, n) family of disjoint-surface planes")
+    q = command(ssub, "feher", _cmd_seifert_feher,
+                "Klein pair of the (p, q, k, n) family of disjoint-surface planes")
     q.add_argument("params", type=int, nargs=4, metavar="INT", help="parameters p q k n")
 
-    p = sub.add_parser("normal-form", parents=[common],
-                       help="square-discriminant normal form: residue a with [f] = [a x^2 + N x y]")
+    p = command(sub, "normal-form", _cmd_normal_form,
+                "square-discriminant normal form: residue a with [f] = [a x^2 + N x y]")
     p.add_argument("args", type=int, nargs=4, metavar="INT", help="N then coefficients a b c")
 
     return parser
 
 
 def _resolve_disc(args) -> int:
-    disc = getattr(args, "disc_opt", None)
-    if disc is None:
-        disc = getattr(args, "disc", None)
-    if disc is None:
-        print("qforms: error: a discriminant is required (bare or --disc=D)", file=sys.stderr)
+    given = {d for d in (args.disc, args.disc_opt) if d is not None}
+    if len(given) != 1:
+        problem = "is required" if not given else "was given twice with different values"
+        print(f"qforms: error: a discriminant {problem} (bare or --disc=D)", file=sys.stderr)
         raise SystemExit(2)
-    return disc
+    return given.pop()
 
 
-def _cache_dir(args) -> str:
-    return getattr(args, "cache_dir", None) or os.environ.get("QFORMS_CACHE_DIR") or ".qforms-cache"
+def _line(values) -> str:
+    return " ".join(map(str, values))
 
 
-def _emit(args, doc: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(text)
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
 
 
-def _class_doc(s: FormClass) -> dict:
-    return {"class": list(s.coeffs()), "disc": s.disc}
+# ---------------------------------------------------------------------------
+# The class-group cache of `qforms classgroup`
 
 
-def _cmd_reduce(args) -> None:
+def _ints(values) -> bool:
+    return set(map(type, values)) <= {int}  # no bool, no float
+
+
+def _valid_entry(entry, D: int, identity: list[int]) -> bool:
+    """O(h^2) integer checks of a cache entry; no composition, no cycle walk.
+
+    The key set is exact; ``disc`` is D; the elements are strictly
+    increasing int triples of discriminant D; ``elements[identity]`` is the
+    identity class; ``table`` is h x h, every row and column a permutation
+    of range(h), and the identity's row and column are the identity.  A
+    forged but consistent group law passes.
+    """
+    if not (isinstance(entry, dict)
+            and entry.keys() == {"schema", "disc", "elements", "identity", "table"}
+            and _ints([entry["schema"], entry["disc"], entry["identity"]])
+            and entry["schema"] == SCHEMA and entry["disc"] == D):
+        return False
+    elements, ident, table = entry["elements"], entry["identity"], entry["table"]
+    if not (isinstance(elements, list) and elements and all(
+            isinstance(e, list) and len(e) == 3 and _ints(e)
+            and e[1] * e[1] - 4 * e[0] * e[2] == D for e in elements)):
+        return False
+    if any(x >= y for x, y in zip(elements, elements[1:])):
+        return False
+    h = len(elements)
+    if not (0 <= ident < h and elements[ident] == identity):
+        return False
+    if not (isinstance(table, list) and len(table) == h and all(
+            isinstance(row, list) and len(row) == h and _ints(row) for row in table)):
+        return False
+    perm = list(range(h))
+    return (table[ident] == perm and [row[ident] for row in table] == perm
+            and all(sorted(row) == perm for row in table)
+            and all(len(set(col)) == h for col in zip(*table)))  # entries are in range(h)
+
+
+def _store(path: str, entry: dict) -> None:
+    # a temp file renamed over the entry; a failure leaves no temp file
+    # behind and is otherwise ignored (the cache is an optimization)
+    tmp = None
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh)
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+# ---------------------------------------------------------------------------
+# Commands: each returns (JSON document, text rendered from it)
+
+
+def _cmd_reduce(args) -> tuple[dict, str]:
     f = canonical(Form(*args.coeffs))
-    _emit(args, {"class": [f.a, f.b, f.c], "disc": discriminant(f)}, f"{f.a} {f.b} {f.c}")
+    doc = {"class": [f.a, f.b, f.c], "disc": discriminant(f)}
+    return doc, _line(doc["class"])
 
 
-def _cmd_compose(args) -> None:
+def _cmd_compose(args) -> tuple[dict, str]:
     c = args.coeffs
     s = compose.class_compose(form_class(*c[:3]), form_class(*c[3:]))
-    a, b, cc = s.coeffs()
-    _emit(args, _class_doc(s), f"{a} {b} {cc}")
+    doc = {"class": list(s.coeffs()), "disc": s.disc}
+    return doc, _line(doc["class"])
 
 
-def _cmd_classgroup(args) -> None:
-    group = compose.class_group(_resolve_disc(args), cache_dir=_cache_dir(args))
-    doc = group.to_dict()
-    text = "\n".join(" ".join(str(v) for v in s.coeffs()) for s in group.elements)
-    _emit(args, doc, text)
+def _cmd_classgroup(args) -> tuple[dict, str]:
+    # class_group(D).to_dict(), read from a checked cache entry when there is one
+    D = _resolve_disc(args)
+    identity = list(compose.identity_class(D).coeffs())  # rejects a non-discriminant first
+    cache_dir = getattr(args, "cache_dir", None) or os.environ.get("QFORMS_CACHE_DIR") or ".qforms-cache"
+    path = os.path.join(cache_dir, f"classgroup_{D}.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError):
+        doc = None
+    if _valid_entry(doc, D, identity):
+        del doc["schema"]
+    else:
+        doc = compose.class_group(D).to_dict()
+        _store(path, {**doc, "schema": SCHEMA})
+    return doc, "\n".join(_line(e) for e in doc["elements"])
 
 
-def _cmd_special_squares(args) -> None:
+def _cmd_special_squares(args) -> tuple[dict, str]:
     disc = _resolve_disc(args)
     entries = []
     for s in compose.special_classes(disc):
@@ -147,15 +225,19 @@ def _cmd_special_squares(args) -> None:
                         "square": list(sq.coeffs())})
     entries.sort(key=lambda e: (abs(e["witness"][0]), e["witness"][0] < 0, e["witness"]))
     doc = {"disc": disc, "squares": entries}
-    text = "\n".join(
-        f"({e['witness'][0]},{e['witness'][1]}) "
-        f"[{' '.join(map(str, e['class']))}]^2 = [{' '.join(map(str, e['square']))}]"
+    return doc, "\n".join(
+        f"({e['witness'][0]},{e['witness'][1]}) [{_line(e['class'])}]^2 = [{_line(e['square'])}]"
         for e in entries
     )
-    _emit(args, doc, text)
 
 
-def _klein_doc(plane: lattice.Plane) -> dict:
+def _cmd_klein(args) -> tuple[dict, str]:
+    if args.plane is not None:
+        v = args.plane
+        plane = lattice.Plane.from_basis(Mat2.from_coords(*v[:4]), Mat2.from_coords(*v[4:]))
+    else:
+        v = args.pair
+        plane = lattice.klein_inverse(lattice.KleinPair(Mat2(*v[:4]), Mat2(*v[4:])))
     pair = lattice.klein_map(plane)
     q = lattice.q_of_plane(plane)
     doc = {
@@ -174,153 +256,121 @@ def _klein_doc(plane: lattice.Plane) -> dict:
     v1, v2, ok = lattice.verify_composition_identity(pair)
     doc["composition_identity"] = {"via_plane": list(v1.coeffs()),
                                    "via_composition": list(v2.coeffs()), "holds": ok}
-    return doc
-
-
-def _cmd_klein(args) -> None:
-    if args.plane is not None:
-        v = args.plane
-        plane = lattice.Plane.from_basis(Mat2.from_coords(*v[:4]),
-                                         Mat2.from_coords(*v[4:]))
-    else:
-        v = args.pair
-        plane = lattice.klein_inverse(lattice.KleinPair(
-            Mat2(*v[:4]), Mat2(*v[4:])))
-    doc = _klein_doc(plane)
     lines = [
-        "plane basis: " + " | ".join(" ".join(map(str, row)) for row in doc["plane"]["basis"]),
+        "plane basis: " + " | ".join(map(_line, doc["plane"]["basis"])),
         "a1: " + str(doc["pair"]["a1"]) + "  a2: " + str(doc["pair"]["a2"]),
-        "q: " + " ".join(map(str, doc["q"])) + f"  class: {doc['class']}  disc: {doc['disc']}",
-        "symplectic: " + ("true" if doc["symplectic"] else "false"),
-        "orth complement: " + " | ".join(" ".join(map(str, row))
-                                         for row in doc["orth_complement"]["basis"]),
+        "q: " + _line(doc["q"]) + f"  class: {doc['class']}  disc: {doc['disc']}",
+        "symplectic: " + _bool(doc["symplectic"]),
+        "orth complement: " + " | ".join(map(_line, doc["orth_complement"]["basis"])),
     ]
     if doc["symplectic"]:
-        lines.append("symplectic complement: " + " | ".join(
-            " ".join(map(str, row)) for row in doc["symplectic_complement"]["basis"]))
-        lines.append("q of symplectic complement: " +
-                     " ".join(map(str, doc["q_symplectic_complement"])))
-    lines.append("composition identity holds: " +
-                 ("true" if doc["composition_identity"]["holds"] else "false"))
-    _emit(args, doc, "\n".join(lines))
+        lines.append("symplectic complement: " +
+                     " | ".join(map(_line, doc["symplectic_complement"]["basis"])))
+        lines.append("q of symplectic complement: " + _line(doc["q_symplectic_complement"]))
+    lines.append("composition identity holds: " + _bool(doc["composition_identity"]["holds"]))
+    return doc, "\n".join(lines)
 
 
-def _cmd_cube(args) -> None:
+def _cmd_cube(args) -> tuple[dict, str]:
     if args.from_forms is not None:
         c = args.from_forms
         box = cube_mod.cube_from_forms(Form(*c[:3]), Form(*c[3:]))
     else:
         box = cube_mod.Cube(tuple(args.slice))
     q1, q2, q3 = cube_mod.slicings(box)
-    law = cube_mod.cube_law_check(box)
     doc = {
         "entries": list(box.entries),
         "slicings": [[q.a, q.b, q.c] for q in (q1, q2, q3)],
         "classes": [list(FormClass.of(q).coeffs()) for q in (q1, q2, q3)],
         "disc": discriminant(q1),
-        "law": law,
+        "law": cube_mod.cube_law_check(box),
     }
-    text = "\n".join([
-        "entries: " + " ".join(map(str, doc["entries"])),
-        "slicings: " + " | ".join(" ".join(map(str, s)) for s in doc["slicings"]),
-        "classes: " + " | ".join(" ".join(map(str, s)) for s in doc["classes"]),
-        "law: " + ("true" if law else "false"),
+    return doc, "\n".join([
+        "entries: " + _line(doc["entries"]),
+        "slicings: " + " | ".join(map(_line, doc["slicings"])),
+        "classes: " + " | ".join(map(_line, doc["classes"])),
+        "law: " + _bool(doc["law"]),
     ])
-    _emit(args, doc, text)
 
 
-def _cmd_seifert(args) -> None:
-    cmd = args.seifert_command
-    if cmd == "exists":
-        disc = _resolve_disc(args)
-        found, witness = seifert.nonisotopic_exists(disc)
-        doc = {"disc": disc, "exists": found,
-               "witness": list(witness) if witness else None, "pairs": []}
-        text = "true" if found else "false"
-        if witness:
-            text += f"\n{witness[0]} {witness[1]}"
-        _emit(args, doc, text)
-    elif cmd == "pair":
-        v = args.args
-        disc, s1, s2 = v[0], form_class(*v[1:4]), form_class(*v[4:7])
-        if s1.disc != disc or s2.disc != disc:
-            raise MismatchedDiscriminant(
-                f"forms have discriminants {s1.disc}, {s2.disc}, expected {disc}")
-        found, witness = seifert.realizable_disjoint_pair(s1, s2)
-        pairs = []
-        if found:
-            pairs.append({"s1": list(s1.coeffs()), "s2": list(s2.coeffs()),
-                          "b4_distinguishable": seifert.b4_distinguishable(s1, s2)})
-        doc = {"disc": disc, "exists": found,
-               "witness": list(witness) if witness else None, "pairs": pairs}
-        text = "true" if found else "false"
-        if witness:
-            text += f"\n{witness[0]} {witness[1]}"
-        _emit(args, doc, text)
-    elif cmd == "pairs":
-        disc = _resolve_disc(args)
-        found, witness = seifert.nonisotopic_exists(disc)
-        pairs = seifert.enumerate_realizable_pairs(
-            disc, include_nonprimitive=args.include_nonprimitive,
-            cache_dir=_cache_dir(args))
-        doc = {"disc": disc, "exists": found,
-               "witness": list(witness) if witness else None, "pairs": pairs}
-        lines = [
-            " ".join(map(str, p["s1"])) + " | " + " ".join(map(str, p["s2"])) +
-            " | b4:" + ("true" if p["b4_distinguishable"] else "false")
-            for p in pairs
-        ]
-        _emit(args, doc, "\n".join(lines))
-    else:  # feher
-        p_, q_, k_, n_ = args.params
-        pair, t1, t2 = seifert.feher_klein_pair(p_, q_, k_, n_)
-        doc = {
-            "pair": lattice.pair_to_dict(pair),
-            "q_plane": [t1.a, t1.b, t1.c],
-            "q_symplectic_complement": [t2.a, t2.b, t2.c],
-            "disc": discriminant(t1),
-        }
-        text = "\n".join([
-            "a1: " + str(doc["pair"]["a1"]) + "  a2: " + str(doc["pair"]["a2"]),
-            "q_plane: " + " ".join(map(str, doc["q_plane"])),
-            "q_symplectic_complement: " + " ".join(map(str, doc["q_symplectic_complement"])),
-        ])
-        _emit(args, doc, text)
+def _witness_doc(disc: int, found: bool, witness, pairs: list[dict]) -> dict:
+    return {"disc": disc, "exists": found,
+            "witness": list(witness) if witness else None, "pairs": pairs}
 
 
-def _cmd_normal_form(args) -> None:
+def _witness_text(doc: dict) -> str:
+    text = _bool(doc["exists"])
+    if doc["witness"]:
+        text += "\n" + _line(doc["witness"])
+    return text
+
+
+def _cmd_seifert_exists(args) -> tuple[dict, str]:
+    disc = _resolve_disc(args)
+    doc = _witness_doc(disc, *seifert.nonisotopic_exists(disc), [])
+    return doc, _witness_text(doc)
+
+
+def _cmd_seifert_pair(args) -> tuple[dict, str]:
+    v = args.args
+    disc, s1, s2 = v[0], form_class(*v[1:4]), form_class(*v[4:7])
+    if s1.disc != disc or s2.disc != disc:
+        raise MismatchedDiscriminant(
+            f"forms have discriminants {s1.disc}, {s2.disc}, expected {disc}")
+    found, witness = seifert.realizable_disjoint_pair(s1, s2)
+    pairs = [{"s1": list(s1.coeffs()), "s2": list(s2.coeffs()),
+              "b4_distinguishable": seifert.b4_distinguishable(s1, s2)}] if found else []
+    doc = _witness_doc(disc, found, witness, pairs)
+    return doc, _witness_text(doc)
+
+
+def _cmd_seifert_pairs(args) -> tuple[dict, str]:
+    disc = _resolve_disc(args)
+    found, witness = seifert.nonisotopic_exists(disc)
+    pairs = seifert.enumerate_realizable_pairs(
+        disc, include_nonprimitive=args.include_nonprimitive)
+    doc = _witness_doc(disc, found, witness, pairs)
+    return doc, "\n".join(
+        f"{_line(p['s1'])} | {_line(p['s2'])} | b4:{_bool(p['b4_distinguishable'])}"
+        for p in pairs
+    )
+
+
+def _cmd_seifert_feher(args) -> tuple[dict, str]:
+    pair, t1, t2 = seifert.feher_klein_pair(*args.params)
+    doc = {
+        "pair": lattice.pair_to_dict(pair),
+        "q_plane": [t1.a, t1.b, t1.c],
+        "q_symplectic_complement": [t2.a, t2.b, t2.c],
+        "disc": discriminant(t1),
+    }
+    return doc, "\n".join([
+        "a1: " + str(doc["pair"]["a1"]) + "  a2: " + str(doc["pair"]["a2"]),
+        "q_plane: " + _line(doc["q_plane"]),
+        "q_symplectic_complement: " + _line(doc["q_symplectic_complement"]),
+    ])
+
+
+def _cmd_normal_form(args) -> tuple[dict, str]:
     n, a, b, c = args.args
     f = Form(a, b, c)
     got_n, res = compose.square_normal_form(f)
     if n != got_n:
         raise NotSquareDiscriminant(f"disc({a},{b},{c}) = {discriminant(f)} != {n}^2")
-    _emit(args, {"n": n, "residue": res}, str(res))
-
-
-_DISPATCH = {
-    "reduce": _cmd_reduce,
-    "compose": _cmd_compose,
-    "classgroup": _cmd_classgroup,
-    "special-squares": _cmd_special_squares,
-    "klein": _cmd_klein,
-    "cube": _cmd_cube,
-    "seifert": _cmd_seifert,
-    "normal-form": _cmd_normal_form,
-}
+    return {"n": n, "residue": res}, str(res)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    as_json = getattr(args, "json", False)
     try:
-        _DISPATCH[args.command](args)
+        doc, text = args.run(args)
+        code, stream = 0, sys.stdout
     except DomainError as exc:
-        if getattr(args, "json", False):
-            print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True))
-        else:
-            print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        doc, text = {"error": exc.code, "message": str(exc)}, f"error[{exc.code}]: {exc}"
+        code, stream = 1, sys.stdout if as_json else sys.stderr
+    print(json.dumps(doc, sort_keys=True) if as_json else text, file=stream)
+    return code
 
 
 if __name__ == "__main__":

@@ -22,14 +22,12 @@ Chinese remainder theorem.
 Class groups are enumerated per discriminant regime: Gauss-reduced forms
 of both definiteness signs for D < 0, reduced cycles for positive
 non-square D, and the residue parametrization a mod N -> [a x^2 + N x y]
-for D = N^2.
+for D = N^2.  Every function here is pure: nothing reads or writes files
+(only the ``qforms classgroup`` command keeps a cache, in ``qforms.cli``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
@@ -149,22 +147,17 @@ def class_compose(s1: FormClass, s2: FormClass) -> FormClass:
     return FormClass.of(dirichlet_compose(s1.representative, s2.representative))
 
 
-def class_inverse(s: FormClass) -> FormClass:
-    """[q]^-1 = [bar(q)] for primitive classes."""
-    if s.content != 1:
-        raise NotPrimitive("inversion is defined for primitive classes only")
-    return FormClass.of(bar(s.representative))
-
-
 def class_bar(s: FormClass) -> FormClass:
     """[q] -> [bar(q)], defined for every class."""
     return FormClass.of(bar(s.representative))
 
 
 def class_power(s: FormClass, n: int) -> FormClass:
-    """s**n for primitive s, n >= 0 (n < 0 via the inverse)."""
+    """s**n for primitive s; n < 0 through the inverse [bar(q)]."""
     if n < 0:
-        return class_power(class_inverse(s), -n)
+        if s.content != 1:
+            raise NotPrimitive("inversion is defined for primitive classes only")
+        return class_power(class_bar(s), -n)
     result = identity_class(s.disc)
     base = s
     while n:
@@ -233,13 +226,6 @@ class OrientedClassGroup:
             "table": self.table(),
         }
 
-    @staticmethod
-    def from_dict(doc: dict) -> "OrientedClassGroup":
-        elements = [form_class(*t) for t in doc["elements"]]
-        g = OrientedClassGroup(doc["disc"], elements, doc["identity"])
-        g._table = doc.get("table")
-        return g
-
 
 def _reduced_definite(D: int) -> list[Form]:
     # positive definite Gauss-reduced primitive forms of discriminant D < 0
@@ -284,13 +270,9 @@ def _reduced_indefinite(D: int) -> list[Form]:
     return out
 
 
-def class_group(D: int, cache_dir: str | None = None) -> OrientedClassGroup:
+def class_group(D: int) -> OrientedClassGroup:
     """The oriented class group of discriminant D (complete, with identity)."""
     _check_discriminant(D)
-    if cache_dir is not None:
-        cached = _cache_load(cache_dir, D)
-        if cached is not None:
-            return cached
     if D < 0:
         classes = set()
         for f in _reduced_definite(D):
@@ -306,11 +288,7 @@ def class_group(D: int, cache_dir: str | None = None) -> OrientedClassGroup:
         else:
             classes = {FormClass.of(f) for f in _reduced_indefinite(D)}
     elements = sorted(classes, key=lambda s: s.coeffs())
-    ident = identity_class(D)
-    group = OrientedClassGroup(D, elements, elements.index(ident))
-    if cache_dir is not None:
-        _cache_store(cache_dir, group)
-    return group
+    return OrientedClassGroup(D, elements, elements.index(identity_class(D)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,34 +391,3 @@ def phi_n(N: int, a: int) -> FormClass:
     if N == 1:
         return form_class(0, 1, 0)
     return form_class(a % N, N, 0)
-
-
-# ---------------------------------------------------------------------------
-# Class-group cache (single writer, atomic replace)
-
-
-def _cache_path(cache_dir: str, D: int) -> str:
-    return os.path.join(cache_dir, f"classgroup_{D}.json")
-
-
-def _cache_load(cache_dir: str, D: int) -> OrientedClassGroup | None:
-    path = _cache_path(cache_dir, D)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("disc") != D:
-            return None
-        return OrientedClassGroup.from_dict(doc)
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def _cache_store(cache_dir: str, group: OrientedClassGroup) -> None:
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(group.to_dict(), fh)
-        os.replace(tmp, _cache_path(cache_dir, group.disc))
-    except OSError:
-        pass  # cache is an optimization only

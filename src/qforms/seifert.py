@@ -129,9 +129,7 @@ def b4_distinguishable(s1: FormClass, s2: FormClass) -> bool:
     return s1 != s2 and s1 != class_bar(s2)
 
 
-def enumerate_realizable_pairs(
-    D: int, include_nonprimitive: bool = False, cache_dir: str | None = None
-) -> list[dict]:
+def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> list[dict]:
     """All unordered realizable pairs {s1, s2} over classes of disc D.
 
     Primitive classes by default; with ``include_nonprimitive`` the
@@ -140,15 +138,16 @@ def enumerate_realizable_pairs(
 
     The partners of s1 are the coset s1 * T of the distinct special
     squares T, so the cost is ``class_group`` (once per stratum) plus
-    h * |T| compositions, h the length of the class list.
+    h * |T| compositions, h the length of the class list.  No composition
+    table is built and nothing is read from or written to disk.
     """
     _require_one_mod_4(D)
-    classes = list(class_group(D, cache_dir=cache_dir).elements)
+    classes = list(class_group(D).elements)
     if include_nonprimitive:
         m = 3
         while m * m <= abs(D):
             if D % (m * m) == 0 and (D // (m * m)) % 4 == 1:
-                for s in class_group(D // (m * m), cache_dir=cache_dir).elements:
+                for s in class_group(D // (m * m)).elements:
                     a, b, c = s.coeffs()
                     classes.append(form_class(m * a, m * b, m * c))
             m += 2
