@@ -22,7 +22,11 @@ Chinese remainder theorem.
 Class groups are enumerated per discriminant regime: Gauss-reduced forms
 of both definiteness signs for D < 0, reduced cycles for positive
 non-square D, and the residue parametrization a mod N -> [a x^2 + N x y]
-for D = N^2.  Every function here is pure: nothing reads or writes files
+for D = N^2.  For positive non-square D the reduced forms are listed
+from the exact window on |a| for each b, and each cycle is walked once:
+all its members are marked and its least form is the class
+representative, so R reduced forms cost O(R) steps, not one cycle walk
+each.  Every function here is pure: nothing reads or writes files
 (only the ``qforms classgroup`` command keeps a cache, in ``qforms.cli``).
 """
 
@@ -52,6 +56,7 @@ from .forms import (
     neg,
     square_residue,
     substitute,
+    _cycle,
     _ext_gcd,
     _extend_unimodular,
 )
@@ -246,49 +251,63 @@ def _reduced_definite(D: int) -> list[Form]:
     return out
 
 
-def _reduced_indefinite(D: int) -> list[Form]:
-    # all reduced primitive forms: 0 < b < sqrt(D), sqrt(D)-b < 2|a| < sqrt(D)+b
-    sq = isqrt(D)
+def _reduced_indefinite(D: int, sq: int) -> list[tuple[int, int, int]]:
+    # all reduced primitive forms: 0 < b < sqrt(D), sqrt(D)-b < 2|a| < sqrt(D)+b;
+    # with sqrt(D) irrational the window on |a| is exactly
+    # ceil((sq+1-b)/2) <= |a| <= floor((sq+b)/2), sq = isqrt(D)
     out = []
-    for b in range(1, sq + 1):
-        if (b - D) % 2:
-            continue
+    for b in range(2 - D % 2, sq + 1, 2):
         prod = (b * b - D) // 4  # == a*c < 0
-        lo = max(1, (sq - b) // 2)
-        hi = (sq + b) // 2 + 1
-        for aa in range(lo, hi + 1):
-            t = 2 * aa
-            if not ((t - b < 0 or (t - b) * (t - b) < D) and (t + b) * (t + b) > D):
-                continue
+        for aa in range((sq + 2 - b) // 2, (sq + b) // 2 + 1):
             if prod % aa:
                 continue
-            for a in (aa, -aa):
-                c = prod // a
-                f = Form(a, b, c)
-                if is_primitive(f):
-                    out.append(f)
+            c = prod // aa
+            if gcd(gcd(aa, b), c) == 1:
+                out.append((aa, b, c))
+                out.append((-aa, b, -c))
     return out
+
+
+def _indefinite_classes(D: int) -> tuple[list[FormClass], FormClass]:
+    """The classes of D > 0 non-square and the identity class among them.
+
+    Each reduced cycle is walked once: its members are marked and its least
+    form is the class representative, so R reduced forms cost O(R) steps.
+    """
+    sq = isqrt(D)
+    rep_of = {}
+    classes = []
+    for f in _reduced_indefinite(D, sq):
+        if f not in rep_of:
+            cycle = list(_cycle(*f, D, sq))
+            rep = min(cycle)
+            rep_of.update(dict.fromkeys(cycle, rep))
+            classes.append(FormClass(Form(*rep), D))
+    # (1, b, (b^2 - D)/4) with b = sq or sq - 1 of D's parity is reduced and
+    # a translate of the principal form, so its cycle is the identity class
+    b = sq - (sq - D) % 2
+    return classes, FormClass(Form(*rep_of[(1, b, (b * b - D) // 4)]), D)
 
 
 def class_group(D: int) -> OrientedClassGroup:
     """The oriented class group of discriminant D (complete, with identity)."""
     _check_discriminant(D)
-    if D < 0:
-        classes = set()
-        for f in _reduced_definite(D):
-            classes.add(FormClass.of(f))
-            classes.add(FormClass.of(neg(f)))
+    N = isqrt(D) if D > 0 else 0
+    if D > 0 and N * N != D:
+        classes, identity = _indefinite_classes(D)
     else:
-        N = isqrt(D)
-        if N * N == D:
-            if N == 1:
-                classes = {form_class(0, 1, 0)}
-            else:
-                classes = {form_class(a, N, 0) for a in range(1, N) if gcd(a, N) == 1}
+        identity = identity_class(D)
+        if D < 0:
+            classes = set()
+            for f in _reduced_definite(D):
+                classes.add(FormClass.of(f))
+                classes.add(FormClass.of(neg(f)))
+        elif N == 1:
+            classes = {identity}
         else:
-            classes = {FormClass.of(f) for f in _reduced_indefinite(D)}
+            classes = {form_class(a, N, 0) for a in range(1, N) if gcd(a, N) == 1}
     elements = sorted(classes, key=lambda s: s.coeffs())
-    return OrientedClassGroup(D, elements, elements.index(identity_class(D)))
+    return OrientedClassGroup(D, elements, elements.index(identity))
 
 
 # ---------------------------------------------------------------------------

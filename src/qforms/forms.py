@@ -18,6 +18,10 @@ Canonical representatives per discriminant regime:
   through its negative.
 * D > 0 not a square: the lexicographically least form on the cycle of
   reduced forms (0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b).
+  ``_cycle`` is the one walk of a reduced cycle: ``canonical`` takes the
+  minimum over it, ``is_equivalent`` stops it when it meets the partner
+  form, and ``compose.class_group`` walks each cycle once and marks all
+  of its members.
 * D = N^2 > 0: content * (a'*x^2 + N'*x*y) where N' = N/content and
   0 <= a' < N' is the normal-form residue of the primitive part.
 """
@@ -208,36 +212,33 @@ def _is_reduced_indefinite(a: int, b: int, D: int) -> bool:
     return t < b or (t - b) * (t - b) < D
 
 
-def _rho(a: int, b: int, c: int, D: int, sq: int) -> tuple[int, int, int]:
-    # Neighbor step (a, b, c) -> (c, r, (r^2 - D) / 4c) with r ~ -b mod 2|c|
-    # landing in the standard window; iterating reaches a reduced form and
-    # then walks its cycle.
-    m = 2 * abs(c)
-    if c * c > D:
-        lo = -abs(c) + 1  # window (-|c|, |c|]
-    else:
-        lo = sq + 1 - m  # window (sqrt(D) - 2|c|, sqrt(D)]
-    r = lo + ((-b - lo) % m)
-    return c, r, (r * r - D) // (4 * c)
-
-
-def _cycle_min(f: Form, D: int) -> tuple[int, int, int]:
-    """The least reduced form properly equivalent to f (D > 0 non-square).
-
-    Walks the cycle once, keeping only a running minimum: O(1) memory.
-    """
-    sq = isqrt(D)
-    a, b, c = f.a, f.b, f.c
-    # c == 0 would force D = b^2, excluded in this regime
+def _reduce_indefinite(a: int, b: int, c: int, D: int, sq: int) -> tuple[int, int, int]:
+    # Neighbor steps (a, b, c) -> (c, r, (r^2 - D) / 4c) with r ~ -b mod 2|c|
+    # in the standard window, until the form is reduced; c == 0 would force
+    # D = b^2, excluded in this regime
     while not _is_reduced_indefinite(a, b, D):
-        a, b, c = _rho(a, b, c, D, sq)
-    first = best = (a, b, c)
+        hi = abs(c) if c * c > D else sq  # window (hi - 2|c|, hi]
+        r = hi - (hi + b) % (2 * abs(c))
+        a, b, c = c, r, (r * r - D) // (4 * c)
+    return a, b, c
+
+
+def _cycle(a: int, b: int, c: int, D: int, sq: int):
+    """Yield each form on the cycle of the reduced form (a, b, c) once,
+    starting with it (D > 0 non-square, sq = isqrt(D)).
+
+    This is the one place where a reduced cycle is walked.  A reduced form
+    has |c| < sqrt(D), so the neighbor step always takes r = -b mod 2|c|
+    in the window (sqrt(D) - 2|c|, sqrt(D)]; it maps reduced forms to
+    reduced forms and comes back to the start after one period.
+    """
+    a0, b0 = a, b
     while True:
-        a, b, c = t = _rho(a, b, c, D, sq)
-        if t == first:
-            return best
-        if t < best:
-            best = t
+        yield a, b, c
+        r = sq - (sq + b) % (2 * abs(c))
+        a, b, c = c, r, (r * r - D) // (4 * c)
+        if b == b0 and a == a0:  # (a, b) determine c
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +331,28 @@ def canonical(f: Form) -> Form:
     N = isqrt(D)
     if N * N == D:
         return _canonical_square(f, D)
-    return Form(*_cycle_min(f, D))
+    return Form(*min(_cycle(*_reduce_indefinite(f.a, f.b, f.c, D, N), D, N)))
 
 
 def is_equivalent(f1: Form, f2: Form) -> bool:
-    """Proper (SL2(Z)) equivalence, decided via canonical representatives."""
-    if discriminant(f1) != discriminant(f2) or content(f1) != content(f2):
-        if discriminant(f1) == 0 or discriminant(f2) == 0:
+    """Proper (SL2(Z)) equivalence.
+
+    For D > 0 non-square both forms are reduced, and the cycle of the first
+    is walked until it meets the second (equivalent) or comes back to its
+    start (not): two reduced forms are equivalent iff they share a cycle.
+    That is at most one walk, and far less when the two lie close together.
+    Other discriminants compare canonical representatives.
+    """
+    D = discriminant(f1)
+    if D != discriminant(f2) or content(f1) != content(f2):
+        if D == 0 or discriminant(f2) == 0:
             raise ZeroDiscriminant("equivalence is undefined for discriminant 0")
         return False
-    return canonical(f1) == canonical(f2)
+    N = isqrt(D) if D > 0 else 0
+    if D <= 0 or N * N == D:
+        return canonical(f1) == canonical(f2)
+    r2 = _reduce_indefinite(f2.a, f2.b, f2.c, D, N)
+    return r2 in _cycle(*_reduce_indefinite(f1.a, f1.b, f1.c, D, N), D, N)
 
 
 @dataclass(frozen=True)

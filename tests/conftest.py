@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import assume, strategies as st
 
-from qforms.forms import GEN_S, GEN_T, GEN_T_INV, Form, Mat2, content, discriminant
+from qforms.forms import GEN_S, GEN_T, GEN_T_INV, Form, Mat2, _extend_unimodular, content, discriminant
 from qforms.lattice import KleinPair, gross
 
 from math import gcd
@@ -32,6 +33,14 @@ def random_sl2(rng, length=8):
     for _ in range(rng.randint(1, length)):
         g = g @ rng.choice((GEN_S, GEN_T, GEN_T_INV))
     return g
+
+
+@st.composite
+def sl2_matrices(draw, bound):
+    """SL2(Z) elements (p, *; q, *) times a shear, entries up to about bound^2."""
+    p, q, t = (draw(st.integers(-bound, bound)) for _ in range(3))
+    assume(gcd(p, q) == 1)
+    return _extend_unimodular(p, q) @ Mat2(1, t, 0, 1)
 
 
 def random_klein_pair(rng, lo=-10, hi=10):

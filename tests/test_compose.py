@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import forms_of_disc, random_form
+from classgroup_oracle import class_group_by_canonical
 from search_oracle import compose_by_search
 from qforms.compose import (
     class_bar,
@@ -287,6 +288,30 @@ class TestClassGroup:
             g = class_group(d)
             for s in g.elements:
                 assert class_bar(s) in g.elements
+
+    def test_positive_matches_oracle_small(self):
+        checked = 0
+        for d in range(5, 3001):
+            if d % 4 in (0, 1) and isqrt(d) ** 2 != d:
+                assert class_group(d).to_dict() == class_group_by_canonical(d).to_dict(), d
+                checked += 1
+        assert checked == 1446
+
+    @pytest.mark.parametrize("disc,order", [
+        (13801, 12), (71481, 6), (91644, 32), (274017, 4), (810865, 8),
+    ])
+    def test_positive_matches_oracle_large(self, disc, order):
+        g = class_group(disc)
+        assert g.order == order
+        assert g.to_dict() == class_group_by_canonical(disc).to_dict()
+
+    def test_large_positive_class_group_within_budget(self):
+        # D = 1000033: one class whose cycle holds every reduced form; a
+        # canonical call per reduced form took about 4 s, one walk 0.02 s
+        t0 = time.perf_counter()
+        g = class_group(1000033)
+        assert time.perf_counter() - t0 < 1.0
+        assert g.order == 1 and g.elements == [identity_class(1000033)]
 
 
 class TestSpecialClasses:

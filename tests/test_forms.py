@@ -1,9 +1,13 @@
 import itertools
 import tracemalloc
+from functools import cache
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_form, random_sl2
+from conftest import random_form, random_sl2, sl2_matrices
+from qforms.compose import class_group
 from qforms.errors import NotUnimodular, ZeroDiscriminant, ZeroForm
 from qforms.forms import (
     GEN_S,
@@ -241,3 +245,120 @@ class TestFormClass:
             f = random_form(rng)
             g = random_sl2(rng)
             assert FormClass.of(f) == FormClass.of(act(g, f))
+
+
+# fixed, reproducible Hypothesis runs
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+@st.composite
+def definite_forms(draw):
+    """Positive or negative definite forms with coefficients up to about 10^30."""
+    a, c = draw(st.integers(1, 10**30)), draw(st.integers(1, 10**30))
+    m = isqrt(4 * a * c - 1)
+    f = Form(a, draw(st.integers(-m, m)), c)
+    return neg(f) if draw(st.booleans()) else f
+
+
+class TestCanonicalProperties:
+    """canonical is idempotent and constant on SL2(Z) orbits, at any size."""
+
+    @staticmethod
+    def check(f, g):
+        cf = canonical(f)
+        assert canonical(cf) == cf
+        assert canonical(act(g, f)) == cf
+        assert (discriminant(cf), content(cf)) == (discriminant(f), content(f))
+        return cf
+
+    @PROPERTY
+    @given(f=definite_forms(), g=sl2_matrices(10**6))
+    def test_definite(self, f, g):
+        self.check(f, g)
+
+    @PROPERTY
+    @given(p=st.integers(-10**15, 10**15), q=st.integers(-10**15, 10**15),
+           r=st.integers(-10**15, 10**15), s=st.integers(-10**15, 10**15),
+           g=sl2_matrices(10**6))
+    def test_square(self, p, q, r, s, g):
+        # (p x + q y)(r x + s y) has discriminant (p s - q r)^2
+        assume(p * s != q * r)
+        self.check(Form(p * r, p * s + q * r, q * s), g)
+
+    @PROPERTY
+    @given(a=st.integers(-1000, 1000), b=st.integers(-1000, 1000), c=st.integers(-1000, 1000),
+           g0=sl2_matrices(10**7), g=sl2_matrices(10**3))
+    def test_indefinite(self, a, b, c, g0, g):
+        # a form of small D moved to coefficients of about 10^30, so the
+        # cycle stays short while the reduction works on huge numbers
+        D = b * b - 4 * a * c
+        assume(D > 0 and isqrt(D) ** 2 != D)
+        f0 = Form(a, b, c)
+        assert self.check(act(g0, f0), g) == canonical(f0)
+
+
+# D > 0 with 4, 6 and 8 classes, some of them not their own bar, whose
+# reduced cycles hold 224 to 452 forms
+LONG_CYCLES = (233209, 412569, 517225)
+
+
+@cache
+def classes_of(D):
+    return class_group(D).elements
+
+
+def textbook_cycle(f, D):
+    """The cycle of the reduced form f by the textbook neighbor step
+    rho(a, b, c) = (c, -b + 2 s c, .), s = sign(c) floor((b + sqrt D) / 2|c|)
+    (Buchmann and Vollmer, Binary Quadratic Forms, ch. 6)."""
+    sq = isqrt(D)
+    cycle = [f]
+    while True:
+        a, b, c = cycle[-1].coeffs()
+        s = (b + sq) // (2 * abs(c)) * (1 if c > 0 else -1)
+        r = -b + 2 * s * c
+        nxt = Form(c, r, (r * r - D) // (4 * c))
+        if nxt == f:
+            return cycle
+        cycle.append(nxt)
+
+
+class TestIndefiniteEquivalence:
+    """is_equivalent on D > 0 non-square walks one cycle until it meets the partner."""
+
+    @pytest.mark.parametrize("D", LONG_CYCLES)
+    def test_every_pair_of_classes(self, D, rng):
+        reps = [s.representative for s in classes_of(D)]
+        assert len(reps) >= 4
+        forms = [act(random_sl2(rng, 12), f) for f in reps]
+        bar_differs = 0
+        for i, f1 in enumerate(forms):
+            for j, f2 in enumerate(forms):
+                assert is_equivalent(f1, f2) == (i == j) == (canonical(f1) == canonical(f2))
+            fb = act(random_sl2(rng, 12), bar(reps[i]))
+            same = canonical(f1) == canonical(fb)
+            assert is_equivalent(f1, fb) == is_equivalent(fb, f1) == same
+            bar_differs += not same
+        assert bar_differs > 0
+
+    @pytest.mark.parametrize("D", LONG_CYCLES)
+    def test_partner_one_step_behind(self, D):
+        # the walk from f1 meets f2 = rho^-1(f1) only at its last step
+        for s in classes_of(D):
+            cycle = textbook_cycle(s.representative, D)
+            assert len(cycle) >= 200
+            assert is_equivalent(cycle[0], cycle[-1])
+            assert is_equivalent(cycle[0], cycle[0])
+            assert is_equivalent(cycle[0], cycle[len(cycle) // 2])
+
+    @PROPERTY
+    @given(D=st.sampled_from(LONG_CYCLES), i=st.integers(0, 7), j=st.integers(0, 7),
+           flip=st.booleans(), g1=sl2_matrices(10**7), g2=sl2_matrices(10**7))
+    def test_large_coefficients(self, D, i, j, flip, g1, g2):
+        els = classes_of(D)
+        f1 = act(g1, els[i % len(els)].representative)
+        f2 = els[j % len(els)].representative
+        f2 = act(g2, bar(f2) if flip else f2)
+        expected = canonical(f1) == canonical(f2)
+        assert expected == (FormClass.of(f2) == els[i % len(els)])
+        assert is_equivalent(f1, f2) == expected
