@@ -26,6 +26,7 @@ from .compose import class_bar, class_compose
 from .errors import (
     MismatchedDiscriminant,
     NoCoprimePair,
+    OutOfRange,
     ZeroDiscriminant,
     ZeroForm,
 )
@@ -137,10 +138,10 @@ def negate_layer(cube: Cube, axis: int, side: int) -> Cube:
     """Negate one layer of slicing ``axis`` (1, 2 or 3; side 0 or 1).
 
     The form of that slicing is replaced by its bar and the other two by
-    their negatives.
+    their negatives.  Raises OutOfRange for any other axis or side.
     """
     if axis not in (1, 2, 3) or side not in (0, 1):
-        raise ValueError("axis must be 1..3 and side 0..1")
+        raise OutOfRange("axis must be 1..3 and side 0..1")
     coord = {1: lambda i, j, k: i, 2: lambda i, j, k: k, 3: lambda i, j, k: j}[axis]
     return Cube.from_entry_fn(
         lambda i, j, k: -cube.entry(i, j, k) if coord(i, j, k) == side else cube.entry(i, j, k)

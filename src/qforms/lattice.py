@@ -23,6 +23,11 @@ two Gross vectors of determinant -disc(q_L).  The inverse sends a pair
 a1 x = x a2, computed by an exact integer kernel; its orientation is the
 one carried by (a1 g, g) for g in the plane with det(g) > 0, or by
 (g, a1 g) when only det(g) < 0 is available.
+
+The kernel, and the canonical basis of a plane, come from a row Hermite
+normal form that clears each entry below a pivot with a single 2x2
+extended-gcd step on the pair (pivot row, that row), so a column costs
+one gcd per row and not one row update per Euclid quotient.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .errors import (
     ZeroDeterminant,
     ZeroDiscriminant,
 )
-from .forms import Form, FormClass, Mat2, bar as form_bar, content, discriminant, _require_sl2
+from .forms import Form, FormClass, Mat2, bar as form_bar, content, discriminant, _ext_gcd, _require_sl2
 
 
 MAT_J = Mat2(1, 0, 0, -1)
@@ -95,8 +100,12 @@ def pair_primitive(a1: Mat2, a2: Mat2) -> bool:
 def _row_hnf(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
     """(H, U, det_U) with U unimodular, U @ mat = H in row Hermite form.
 
-    Pivots are positive, entries above a pivot are reduced into
-    [0, pivot); zero rows sink to the bottom.  det_U is +-1.
+    Each column is cleared below its pivot row r by one extended-gcd step
+    per nonzero row i: with g = x h_rj + y h_ij, a = h_rj / g, b = h_ij / g,
+    the pair (row r, row i) becomes (x row r + y row i, a row i - b row r),
+    a 2x2 step of determinant x a + y b = 1.  Pivots are positive, entries
+    above a pivot are reduced into [0, pivot); zero rows sink to the
+    bottom.  det_U is +-1.
     """
     h = [row[:] for row in mat]
     m = len(h)
@@ -107,25 +116,22 @@ def _row_hnf(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], in
     for j in range(n):
         if r == m:
             break
-        # Euclidean elimination in column j, rows r..m-1
-        while True:
-            nonzero = [i for i in range(r, m) if h[i][j] != 0]
-            if not nonzero:
-                break
-            i0 = min(nonzero, key=lambda i: abs(h[i][j]))
-            if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
-                det_u = -det_u
-            if all(h[i][j] == 0 for i in range(r + 1, m)):
-                break
-            for i in range(r + 1, m):
-                if h[i][j] != 0:
-                    q = h[i][j] // h[r][j]
-                    h[i] = [h[i][k] - q * h[r][k] for k in range(n)]
-                    u[i] = [u[i][k] - q * u[r][k] for k in range(m)]
-        if h[r][j] == 0:
+        i0 = next((i for i in range(r, m) if h[i][j] != 0), None)
+        if i0 is None:
             continue
+        if i0 != r:
+            h[r], h[i0] = h[i0], h[r]
+            u[r], u[i0] = u[i0], u[r]
+            det_u = -det_u
+        for i in range(r + 1, m):
+            if h[i][j] != 0:
+                g, x, y = _ext_gcd(h[r][j], h[i][j])
+                a, b = h[r][j] // g, h[i][j] // g
+                hr, hi, ur, ui = h[r], h[i], u[r], u[i]
+                h[r] = [x * s + y * t for s, t in zip(hr, hi)]
+                h[i] = [a * t - b * s for s, t in zip(hr, hi)]
+                u[r] = [x * s + y * t for s, t in zip(ur, ui)]
+                u[i] = [a * t - b * s for s, t in zip(ur, ui)]
         if h[r][j] < 0:
             h[r] = [-v for v in h[r]]
             u[r] = [-v for v in u[r]]
@@ -237,6 +243,20 @@ def _validate_pair(p: KleinPair) -> None:
         raise NotPairPrimitive("a common prime divides both Klein vectors")
 
 
+def _map_matrix(a1: Mat2, a2: Mat2) -> list[list[int]]:
+    """The matrix of x -> a1 x - x a2 on Z^4, for traceless a1 and a2.
+
+    Row i holds the i-th coordinate of the image as a function of the
+    coordinates (m11, m22, -m21, m12) of x.
+    """
+    (p1, q1), (r1, _) = a1.rows()
+    (p2, q2), (r2, _) = a2.rows()
+    return [[p1 - p2, 0, -q1, -r2],
+            [0, p2 - p1, q2, r1],
+            [-r1, r2, -p1 - p2, 0],
+            [-q2, q1, 0, p1 + p2]]
+
+
 def klein_inverse(p: KleinPair) -> Plane:
     """Psi: the oriented solution plane of a1 x = x a2.
 
@@ -244,14 +264,7 @@ def klein_inverse(p: KleinPair) -> Plane:
     is a direct summand.  The orientation follows the (a1 g, g) rule.
     """
     _validate_pair(p)
-    basis_mats = [Mat2.from_coords(*(1 if i == j else 0 for j in range(4))) for i in range(4)]
-    rows = []
-    for e in basis_mats:
-        img = (p.a1 @ e) - (e @ p.a2)
-        rows.append(list(img.coords()))
-    # rows[i] = image of basis vector i; the map's matrix has these as columns
-    columns_as_rows = [[rows[i][j] for i in range(4)] for j in range(4)]
-    kern = _kernel_basis(columns_as_rows)
+    kern = _kernel_basis(_map_matrix(p.a1, p.a2))
     if len(kern) != 2:
         raise ZeroDeterminant(f"solution lattice has rank {len(kern)}, expected 2")
     w1 = Mat2.from_coords(*kern[0])

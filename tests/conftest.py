@@ -43,6 +43,38 @@ def sl2_matrices(draw, bound):
     return _extend_unimodular(p, q) @ Mat2(1, t, 0, 1)
 
 
+@st.composite
+def large_sl2_matrices(draw, bound):
+    """Like sl2_matrices, with |p|, |q|, |t| near bound: entries of about bound^2."""
+    p, q, t = (draw(st.integers(bound // 2, bound)) * draw(st.sampled_from((1, -1)))
+               for _ in range(3))
+    g = gcd(p, q)
+    return _extend_unimodular(p // g, q // g) @ Mat2(1, t, 0, 1)
+
+
+@st.composite
+def same_disc_pairs(draw, bound):
+    """Two primitive forms of one nonzero discriminant, coefficients up to about bound.
+
+    The second form is (a2, b2, m / a2) with m = (b2^2 - D) / 4 and a2 a
+    divisor of m, so the two forms usually lie in different classes.
+    """
+    coeff = st.integers(-bound, bound)
+    a1, b1, c1 = draw(coeff), draw(coeff), draw(coeff)
+    d = b1 * b1 - 4 * a1 * c1
+    assume(d != 0)
+    f1 = Form(a1, b1, c1)
+    assume(content(f1) == 1)
+    b2 = 2 * draw(st.integers(-bound // 2, bound // 2)) + d % 2  # b2^2 = d mod 4
+    assume(b2 * b2 != d)
+    m = (b2 * b2 - d) // 4
+    a2 = draw(st.sampled_from([a for a in range(1, min(abs(m), bound) + 1) if m % a == 0]))
+    a2 *= draw(st.sampled_from((1, -1)))
+    f2 = Form(a2, b2, m // a2)
+    assume(content(f2) == 1)
+    return f1, f2
+
+
 def random_klein_pair(rng, lo=-10, hi=10):
     """A pair-primitive Klein pair with equal nonzero determinants."""
     while True:

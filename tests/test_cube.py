@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
-from conftest import forms_of_disc, random_form, random_sl2
+from conftest import forms_of_disc, large_sl2_matrices, random_form, random_sl2, same_disc_pairs
 
 from qforms.compose import class_bar, class_compose
 from qforms.cube import (
@@ -11,7 +12,7 @@ from qforms.cube import (
     reflect,
     slicings,
 )
-from qforms.errors import MismatchedDiscriminant, NotPairPrimitive, ZeroForm
+from qforms.errors import MismatchedDiscriminant, NotPairPrimitive, OutOfRange, ZeroForm
 from qforms.forms import GEN_S, Form, FormClass, act, bar, content, discriminant, form_class, neg
 from qforms.lattice import Mat2, Plane, form_of, klein_map, q_of_plane
 
@@ -136,3 +137,22 @@ class TestSymmetries:
             for axis in (1, 2, 3):
                 assert cube_law_check(negate_layer(box, axis, 0))
             assert cube_law_check(reflect(box))
+
+    def test_negate_layer_rejects_bad_axis_or_side(self):
+        box = Cube.from_layers(*PLANE_23.basis())
+        for axis, side in ((0, 0), (4, 0), (1, 2)):
+            with pytest.raises(OutOfRange) as err:
+                negate_layer(box, axis, side)
+            assert err.value.code == "out-of-range"
+
+
+class TestCubeLargeCoefficients:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(forms=same_disc_pairs(300), g1=large_sl2_matrices(10**7), g2=large_sl2_matrices(10**7))
+    def test_from_forms(self, forms, g1, g2):
+        # q1 and q2 scrambled to coefficients of about 10^30
+        q1, q2 = act(g1, forms[0]), act(g2, forms[1])
+        box = cube_from_forms(q1, q2)
+        _, s2, s3 = slicings(box)
+        assert (s3, s2) == (q1, q2)
+        assert cube_law_check(box)

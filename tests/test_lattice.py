@@ -1,6 +1,10 @@
-import pytest
+import time
 
-from conftest import random_form, random_klein_pair, random_sl2
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hnf_oracle
+from conftest import large_sl2_matrices, random_form, random_klein_pair, random_sl2, same_disc_pairs
 from qforms.compose import class_compose, dirichlet_compose
 from qforms.errors import (
     MismatchedDeterminant,
@@ -11,7 +15,7 @@ from qforms.errors import (
     NotUnimodular,
     ZeroDeterminant,
 )
-from qforms.forms import Form, FormClass, bar, content, discriminant, form_class, neg
+from qforms.forms import GEN_S, Form, FormClass, act, bar, content, discriminant, form_class, neg
 from qforms.lattice import (
     KleinPair,
     Mat2,
@@ -37,7 +41,7 @@ from qforms.lattice import (
     verify_composition_identity,
 )
 
-from qforms.lattice import _kernel_basis, _row_hnf
+from qforms.lattice import _kernel_basis, _map_matrix, _row_hnf
 
 # the worked plane of discriminant -23: span(I, [[1, -6], [1, 0]])
 PLANE_23 = Plane.from_basis(Mat2.identity(), Mat2(1, -6, 1, 0))
@@ -417,3 +421,123 @@ class TestCompositionIdentity:
         for _ in range(200):
             c1, c2, ok = verify_composition_identity(random_klein_pair(rng))
             assert ok and c1 == c2
+
+
+# fixed, reproducible Hypothesis runs
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+def det(mat):
+    """Determinant by cofactor expansion along the first row."""
+    if len(mat) == 1:
+        return mat[0][0]
+    return sum((-1) ** j * mat[0][j] * det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j in range(len(mat)))
+
+
+@st.composite
+def integer_matrices(draw):
+    """1-4 x 1-5 matrices with entries up to 10^30, often rank-deficient."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    big = st.builds(lambda x, sign: sign * x, st.integers(10**29, 10**30), st.sampled_from((1, -1)))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), big)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):  # zero columns
+        for row in rows:
+            row[j] = 0
+    if m > 1 and draw(st.booleans()):  # a repeated row, a multiple of one, or a zero row
+        i = draw(st.integers(1, m - 1))
+        k = draw(st.sampled_from((1, -1, 2, 0)))
+        rows[i] = [k * v for v in rows[draw(st.integers(0, i - 1))]]
+    return rows
+
+
+class TestHnfAgainstOracle:
+    """The extended-gcd elimination against the Euclid elimination it replaced."""
+
+    @PROPERTY
+    @given(mat=integer_matrices())
+    def test_row_hnf(self, mat):
+        h, u, det_u = _row_hnf(mat)
+        oracle_h, oracle_u, oracle_det_u = hnf_oracle.row_hnf(mat)
+        assert h == oracle_h
+        assert matmul(u, mat) == h
+        assert det(u) == det_u
+        if all(any(row) for row in h):
+            # full row rank makes U unique; otherwise the rows of U over the
+            # zero rows of H are just some kernel basis, and det_U may differ
+            assert (u, det_u) == (oracle_u, oracle_det_u)
+
+    @PROPERTY
+    @given(mat=integer_matrices())
+    def test_kernel_spans_oracle_kernel(self, mat):
+        kern = _kernel_basis(mat)
+        expect = hnf_oracle.kernel_basis(mat)
+        assert len(kern) == len(expect)
+        for v in kern:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in mat)
+        if kern:
+            assert _row_hnf(kern)[0] == _row_hnf(expect)[0]
+
+    def test_map_matrix_matches_mat2_products(self, rng):
+        units = [Mat2.from_coords(*(1 if i == j else 0 for j in range(4))) for i in range(4)]
+        for _ in range(2000):
+            p1, q1, r1, p2, q2, r2 = (rng.randint(-10**30, 10**30) for _ in range(6))
+            a1, a2 = Mat2(p1, q1, r1, -p1), Mat2(p2, q2, r2, -p2)
+            images = [(a1 @ e - e @ a2).coords() for e in units]
+            # column i of the matrix is the image of the i-th basis vector
+            assert _map_matrix(a1, a2) == [[images[i][j] for i in range(4)] for j in range(4)]
+
+
+def scramble(rng, f, digits):
+    """f moved by a random SL2(Z) word until a coefficient has ``digits`` digits."""
+    shears = [Mat2(1, k, 0, 1) for k in range(-9, 10) if k]
+    while max(abs(f.a), abs(f.b), abs(f.c)) < 10**digits:
+        f = act(GEN_S, act(rng.choice(shears), f))
+    return f
+
+
+def definite_pair(rng, max_abs_disc):
+    """Two primitive positive definite forms of one discriminant |D| <= max_abs_disc."""
+    while True:
+        a = rng.randint(1, 1000)
+        f1 = Form(a, rng.randint(-a, a), rng.randint(a, max(a, max_abs_disc // (4 * a))))
+        if content(f1) == 1:
+            break
+    d = discriminant(f1)
+    b2 = rng.randrange(d % 2, 4000, 2)
+    m = (b2 * b2 - d) // 4
+    a2 = rng.choice([a for a in range(1, 300) if m % a == 0])
+    return f1, Form(a2, b2, m // a2)
+
+
+class TestKleinLargeCoefficients:
+    """Klein round trips on pair-primitive pairs with coefficients of about 10^30."""
+
+    @PROPERTY
+    @given(forms=same_disc_pairs(1000), g1=large_sl2_matrices(10**7), g2=large_sl2_matrices(10**7))
+    def test_map_of_inverse(self, forms, g1, g2):
+        pair = KleinPair(gross(act(g1, forms[0])), gross(act(g2, forms[1])))
+        assert klein_map(klein_inverse(pair)) == pair
+
+    @PROPERTY
+    @given(forms=same_disc_pairs(1000), g1=large_sl2_matrices(10**7), g2=large_sl2_matrices(10**7))
+    def test_inverse_of_map_and_double_complement(self, forms, g1, g2):
+        plane = klein_inverse(KleinPair(gross(forms[0]), gross(forms[1])))
+        plane = transform_plane(plane, g1, g2)
+        assert klein_inverse(klein_map(plane)) == plane
+        assert orth_complement(orth_complement(plane)) == plane
+
+    def test_klein_inverse_large_coefficients_within_budget(self, rng):
+        # 60-digit scrambles of definite pairs with |D| <= 10^12: 0.06-0.08 s
+        # (median 0.07) with one extended-gcd step per row pair, 0.24-0.51 s
+        # (median 0.40) with the Euclid elimination of hnf_oracle.py, on a
+        # 2-vCPU host
+        pairs = []
+        for _ in range(200):
+            f1, f2 = definite_pair(rng, 10**12)
+            pairs.append(KleinPair(gross(scramble(rng, f1, 60)), gross(scramble(rng, f2, 60))))
+        t0 = time.perf_counter()
+        planes = [klein_inverse(p) for p in pairs]
+        assert time.perf_counter() - t0 < 0.2
+        assert all(klein_map(plane) == p for plane, p in zip(planes, pairs))
