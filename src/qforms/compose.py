@@ -23,8 +23,9 @@ Class groups are enumerated per discriminant regime: Gauss-reduced forms
 of both definiteness signs for D < 0, reduced cycles for positive
 non-square D, and the residue parametrization a mod N -> [a x^2 + N x y]
 for D = N^2.  For positive non-square D the reduced forms are listed
-from the exact window on |a| for each b, and each cycle is walked once:
-all its members are marked and its least form is the class
+from the exact window on |a| for each b, and each cycle is walked once
+by ``forms._walk``, which returns its least form (the class
+representative) and lists its members; all of them are marked with that
 representative, so R reduced forms cost O(R) steps, not one cycle walk
 each.  Every function here is pure: nothing reads or writes files
 (only the ``qforms classgroup`` command keeps a cache, in ``qforms.cli``).
@@ -56,9 +57,9 @@ from .forms import (
     neg,
     square_residue,
     substitute,
-    _cycle,
     _ext_gcd,
     _extend_unimodular,
+    _walk,
 )
 
 
@@ -279,8 +280,8 @@ def _indefinite_classes(D: int) -> tuple[list[FormClass], FormClass]:
     classes = []
     for f in _reduced_indefinite(D, sq):
         if f not in rep_of:
-            cycle = list(_cycle(*f, D, sq))
-            rep = min(cycle)
+            cycle = []
+            rep = _walk(*f, D, sq, members=cycle)
             rep_of.update(dict.fromkeys(cycle, rep))
             classes.append(FormClass(Form(*rep), D))
     # (1, b, (b^2 - D)/4) with b = sq or sq - 1 of D's parity is reduced and

@@ -93,3 +93,7 @@ class NotCoprime(DomainError):
 
 class OutOfRange(DomainError):
     code = "out-of-range"
+
+
+class TooLarge(DomainError):
+    code = "too-large"

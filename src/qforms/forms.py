@@ -18,10 +18,14 @@ Canonical representatives per discriminant regime:
   through its negative.
 * D > 0 not a square: the lexicographically least form on the cycle of
   reduced forms (0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b).
-  ``_cycle`` is the one walk of a reduced cycle: ``canonical`` takes the
-  minimum over it, ``is_equivalent`` stops it when it meets the partner
-  form, and ``compose.class_group`` walks each cycle once and marks all
-  of its members.
+  ``_walk`` is the one function that steps a reduced cycle, in one flat
+  loop: the sign of a alternates along the cycle, so after at most one
+  step to reach a < 0 each pass takes the step from a < 0 and then the
+  one from a > 0, compares only the a < 0 form with the running minimum
+  and tests for the return to the start once.  ``canonical`` takes the
+  minimum it returns, ``is_equivalent`` stops it when it meets the
+  partner form (also before its first step), and ``compose.class_group``
+  has it list each cycle once to mark all of its members.
 * D = N^2 > 0: content * (a'*x^2 + N'*x*y) where N' = N/content and
   0 <= a' < N' is the normal-form residue of the primitive part.
 """
@@ -223,22 +227,49 @@ def _reduce_indefinite(a: int, b: int, c: int, D: int, sq: int) -> tuple[int, in
     return a, b, c
 
 
-def _cycle(a: int, b: int, c: int, D: int, sq: int):
-    """Yield each form on the cycle of the reduced form (a, b, c) once,
-    starting with it (D > 0 non-square, sq = isqrt(D)).
+def _walk(a: int, b: int, c: int, D: int, sq: int, stop=(0, 0, 0), members=None):
+    """Walk the cycle of the reduced form (a, b, c) once (D > 0 non-square,
+    sq = isqrt(D)) and return its least form, or None as soon as the walk
+    meets the form ``stop``; the default, the zero form, is on no cycle.
+    Given a list ``members``, it appends each form of the cycle once, in
+    cycle order, from the first form with a < 0.
 
-    This is the one place where a reduced cycle is walked.  A reduced form
-    has |c| < sqrt(D), so the neighbor step always takes r = -b mod 2|c|
-    in the window (sqrt(D) - 2|c|, sqrt(D)]; it maps reduced forms to
-    reduced forms and comes back to the start after one period.
+    This is the one place where a reduced cycle is stepped.  A reduced form
+    has |c| < sqrt(D), so the neighbor step (a, b, c) -> (c, r, .) takes
+    r = -b mod 2|c| in the window (sqrt(D) - 2|c|, sqrt(D)].  On a reduced
+    cycle a and c have opposite signs, so the sign of a alternates: after
+    one step from a > 0, each loop takes the step from a < 0 (modulus 2c)
+    and then the one from a > 0 (modulus -2c).  The least form has a < 0,
+    so only that half is compared with the running minimum, and the test
+    for the return to the start runs once per loop.
     """
-    a0, b0 = a, b
-    while True:
-        yield a, b, c
-        r = sq - (sq + b) % (2 * abs(c))
+    sa, sb, _ = stop
+    if a == sa and b == sb:  # (a, b) determine c
+        return None
+    if a > 0:
+        r = sq - (sq + b) % (-2 * c)
         a, b, c = c, r, (r * r - D) // (4 * c)
-        if b == b0 and a == a0:  # (a, b) determine c
-            return
+    a0, b0 = a, b
+    best_a, best_b, best_c = a, b, c
+    while True:
+        # a < 0 < c
+        if a == sa and b == sb:
+            return None
+        if members is not None:
+            members.append((a, b, c))
+        r = sq - (sq + b) % (2 * c)
+        a, b, c = c, r, (r * r - D) // (4 * c)
+        # a > 0 > c
+        if a == sa and b == sb:
+            return None
+        if members is not None:
+            members.append((a, b, c))
+        r = sq - (sq + b) % (-2 * c)
+        a, b, c = c, r, (r * r - D) // (4 * c)
+        if b == b0 and a == a0:
+            return best_a, best_b, best_c
+        if a <= best_a and (a < best_a or b < best_b):
+            best_a, best_b, best_c = a, b, c
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +362,7 @@ def canonical(f: Form) -> Form:
     N = isqrt(D)
     if N * N == D:
         return _canonical_square(f, D)
-    return Form(*min(_cycle(*_reduce_indefinite(f.a, f.b, f.c, D, N), D, N)))
+    return Form(*_walk(*_reduce_indefinite(f.a, f.b, f.c, D, N), D, N))
 
 
 def is_equivalent(f1: Form, f2: Form) -> bool:
@@ -352,7 +383,7 @@ def is_equivalent(f1: Form, f2: Form) -> bool:
     if D <= 0 or N * N == D:
         return canonical(f1) == canonical(f2)
     r2 = _reduce_indefinite(f2.a, f2.b, f2.c, D, N)
-    return r2 in _cycle(*_reduce_indefinite(f1.a, f1.b, f1.c, D, N), D, N)
+    return _walk(*_reduce_indefinite(f1.a, f1.b, f1.c, D, N), D, N, stop=r2) is None
 
 
 @dataclass(frozen=True)

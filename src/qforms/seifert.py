@@ -30,7 +30,7 @@ from .compose import (
     special_square,
     _require_one_mod_4,
 )
-from .errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, OutOfRange
+from .errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, OutOfRange, TooLarge
 from .forms import Form, FormClass, Mat2, form_class, _ext_gcd
 from .lattice import KleinPair, is_symplectic, klein_inverse, q_of_plane, symplectic_complement
 
@@ -89,21 +89,44 @@ def _prime_power_k2(m: int) -> bool:
     return r * r == m and _is_prime(r)
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly for
+# every n below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises TooLarge for n >= _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise TooLarge(f"primality is decided only below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for p in _MR_BASES:
+        x = pow(p, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def negdisc_criterion(D: int) -> bool:
-    """For D < 0: a non-isotopic pair exists iff (1-D)/4 is not 1, p or p^2."""
+    """For D < 0: a non-isotopic pair exists iff (1-D)/4 is not 1, p or p^2.
+
+    Raises TooLarge when (1-D)/4 is 3.3 * 10^24 or more, beyond the exact
+    primality test.
+    """
     _require_one_mod_4(D)
     if D >= 0:
         raise NotNegative(f"criterion applies to negative discriminants, got {D}")

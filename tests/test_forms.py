@@ -1,5 +1,7 @@
 import itertools
+import signal
 import tracemalloc
+from contextlib import contextmanager
 from functools import cache
 from math import isqrt
 
@@ -24,6 +26,8 @@ from qforms.forms import (
     is_equivalent,
     neg,
     square_residue,
+    _reduce_indefinite,
+    _walk,
 )
 
 
@@ -307,20 +311,44 @@ def classes_of(D):
     return class_group(D).elements
 
 
+def textbook_step(f, D):
+    """rho(a, b, c) = (c, -b + 2 s c, .), s = sign(c) floor((b + sqrt D) / 2|c|),
+    the textbook neighbor of a reduced form (Buchmann and Vollmer, Binary
+    Quadratic Forms, ch. 6)."""
+    a, b, c = f.coeffs()
+    s = (b + isqrt(D)) // (2 * abs(c)) * (1 if c > 0 else -1)
+    r = -b + 2 * s * c
+    return Form(c, r, (r * r - D) // (4 * c))
+
+
 def textbook_cycle(f, D):
-    """The cycle of the reduced form f by the textbook neighbor step
-    rho(a, b, c) = (c, -b + 2 s c, .), s = sign(c) floor((b + sqrt D) / 2|c|)
-    (Buchmann and Vollmer, Binary Quadratic Forms, ch. 6)."""
-    sq = isqrt(D)
+    """The cycle of the reduced form f by the textbook neighbor step."""
     cycle = [f]
     while True:
-        a, b, c = cycle[-1].coeffs()
-        s = (b + sq) // (2 * abs(c)) * (1 if c > 0 else -1)
-        r = -b + 2 * s * c
-        nxt = Form(c, r, (r * r - D) // (4 * c))
+        nxt = textbook_step(cycle[-1], D)
         if nxt == f:
             return cycle
         cycle.append(nxt)
+
+
+def is_reduced(f, D):
+    """0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, checked exactly."""
+    t = 2 * abs(f.a)
+    return 0 < f.b and f.b ** 2 < D and (t + f.b) ** 2 > D and (t <= f.b or (t - f.b) ** 2 < D)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestIndefiniteEquivalence:
@@ -362,3 +390,120 @@ class TestIndefiniteEquivalence:
         expected = canonical(f1) == canonical(f2)
         assert expected == (FormClass.of(f2) == els[i % len(els)])
         assert is_equivalent(f1, f2) == expected
+
+    def test_partner_met_at_once_on_a_long_cycle(self):
+        # D = 10^21 + 1: the principal cycle does not close within 3 * 10^6
+        # steps, so a walk that misses a partner it could meet before or at
+        # its first step never returns in time
+        D = 10**21 + 1
+        b = isqrt(D) - (isqrt(D) - D) % 2
+        with time_limit(1.0):
+            for f in (Form(1, b, (b * b - D) // 4), Form(-1, b, (D - b * b) // 4)):
+                assert is_reduced(f, D)
+                assert is_equivalent(f, f)
+                assert is_equivalent(f, textbook_step(f, D))
+                # two scrambles that differ by a shear fixing c, so the first
+                # reduction step takes both to the same form
+                h1 = act(Mat2(10**15 + 1, 10**15, 1, 1), f)
+                h2 = act(Mat2(1, -(10**12), 0, 1), h1)
+                assert _reduce_indefinite(*h1.coeffs(), D, isqrt(D)) == \
+                    _reduce_indefinite(*h2.coeffs(), D, isqrt(D))
+                assert is_equivalent(h1, h2)
+
+
+def all_reduced_forms(D):
+    """Every reduced form of D > 0 non-square, both signs of a, primitive or not."""
+    sq = isqrt(D)
+    out = []
+    for b in range(1, sq + 1):
+        prod = (b * b - D) // 4
+        if b * b - D != 4 * prod:
+            continue
+        for aa in range(max(1, (sq - b) // 2), (sq + b) // 2 + 2):
+            if prod % aa == 0 and is_reduced(Form(aa, b, 0), D):
+                out += [Form(aa, b, prod // aa), Form(-aa, b, -prod // aa)]
+    return out
+
+
+def walk_order(cycle, f):
+    """The cycle as _walk from f lists it: from f or, if f.a > 0, the next form."""
+    k = cycle.index(f) + (f.a > 0)
+    return [g.coeffs() for g in cycle[k:] + cycle[:k]]
+
+
+def check_walk(f, D, cycle, others=()):
+    """_walk from f returns the least form of its textbook cycle and lists
+    its members in order; a stop on another cycle does not end the walk."""
+    sq = isqrt(D)
+    order = walk_order(cycle, f)
+    members = []
+    assert _walk(*f.coeffs(), D, sq, members=members) == min(order)
+    assert members == order
+    for g in others:
+        assert _walk(*f.coeffs(), D, sq, stop=g.coeffs()) == min(order)
+
+
+def check_stops(f, D, cycle):
+    """The walk from f stops exactly when it meets each member of its cycle."""
+    sq = isqrt(D)
+    order = walk_order(cycle, f)
+    for g in cycle:
+        members = []
+        assert _walk(*f.coeffs(), D, sq, stop=g.coeffs(), members=members) is None
+        assert members == ([] if g == f else order[:order.index(g.coeffs())])
+
+
+class TestWalk:
+    """forms._walk, the one cycle walk, against the textbook neighbor step."""
+
+    def test_every_reduced_form_small_d(self):
+        # all 1,446 non-square D = 0, 1 mod 4 up to 3000: the minimum and the
+        # members from every reduced form, the stops from one start of each
+        # sign per cycle
+        cycles = 0
+        for D in range(5, 3001):
+            if D % 4 > 1 or isqrt(D) ** 2 == D:
+                continue
+            forms = all_reduced_forms(D)
+            seen = set()
+            for f in forms:
+                if f in seen:
+                    continue
+                cycle = textbook_cycle(f, D)
+                seen.update(cycle)
+                cycles += 1
+                check_walk(f, D, cycle, others=[g for g in forms[:6] if g not in cycle])
+                for g in cycle[1:]:
+                    check_walk(g, D, cycle)
+                check_stops(next(g for g in cycle if g.a < 0), D, cycle)
+                check_stops(next(g for g in cycle if g.a > 0), D, cycle)
+            assert seen == set(forms)
+        assert cycles > 5000
+
+    @PROPERTY
+    @given(e=st.integers(1, 40), n=st.integers(500, 1_500_000), j=st.integers(0, 50),
+           i=st.integers(0, 10**6), sign=st.sampled_from((1, -1)),
+           g1=sl2_matrices(10**6), g2=sl2_matrices(10**6))
+    def test_large_discriminants(self, e, n, j, i, sign, g1, g2):
+        # D = e^2 (n^2 + 4) with n odd has a small regulator, so at D up to
+        # 10^13 the cycles hold 2 to ~200 forms; the forms are moved to
+        # coefficients of about 10^30
+        n = 2 * (n // e) + 1
+        D = e * e * (n * n + 4)
+        assume(D <= 10**13)
+        b = D % 2 + 2 * j
+        prod = (b * b - D) // 4
+        divisors = [d for d in range(1, 300) if prod % d == 0]
+        a = sign * divisors[i % len(divisors)]
+        f0 = canonical(Form(a, b, prod // a))
+        assert is_reduced(f0, D)
+        cycle = textbook_cycle(f0, D)
+        assert f0 == min(cycle, key=Form.coeffs)
+        f = cycle[i % len(cycle)]
+        check_walk(f, D, cycle)
+        check_stops(f, D, cycle)
+        assert canonical(act(g1, f)) == f0
+        assert is_equivalent(act(g1, f), act(g2, cycle[(i // 7) % len(cycle)]))
+        # bar(f) is properly equivalent to the reduced form (c, b, a)
+        fb = act(g2, bar(f))
+        assert is_equivalent(act(g1, f), fb) == (canonical(fb) == f0) == (Form(f.c, f.b, f.a) in cycle)

@@ -4,7 +4,15 @@ from math import gcd
 import pytest
 
 from qforms.compose import class_compose, class_group, special_square
-from qforms.errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, NotOneMod4, OutOfRange
+from qforms.errors import (
+    MismatchedDiscriminant,
+    NotCoprime,
+    NotNegative,
+    NotOddPositive,
+    NotOneMod4,
+    OutOfRange,
+    TooLarge,
+)
 from qforms.forms import FormClass, discriminant, form_class
 from qforms.lattice import is_symplectic, klein_inverse, q_of_plane, symplectic_complement
 from qforms.seifert import (
@@ -16,6 +24,7 @@ from qforms.seifert import (
     prescribed_form_exists,
     realizable_disjoint_pair,
     squaredisc_criterion,
+    _is_prime,
 )
 
 
@@ -106,6 +115,41 @@ class TestCriteria:
     def test_square_agrees_with_search(self):
         for n in range(1, 22, 2):
             assert squaredisc_criterion(n) == nonisotopic_exists(n * n)[0]
+
+
+class TestIsPrime:
+    """The deterministic Miller-Rabin test behind negdisc_criterion."""
+
+    def test_agrees_with_trial_division(self):
+        small = [p for p in range(2, 317) if all(p % q for q in range(2, p))]
+        for m in range(-3, 10**5 + 1):
+            expected = m >= 2 and all(m % p for p in small if p * p <= m and p != m)
+            assert _is_prime(m) is expected, m
+
+    def test_strong_pseudoprimes(self):
+        # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to the bases
+        # 2, 3, 5, 7 and 3825123056546413051 = 149491 * 747451 * 34233211 to
+        # every prime base up to 23
+        assert _is_prime(3215031751) is False
+        assert _is_prime(3825123056546413051) is False
+
+    def test_large(self):
+        assert _is_prime(10**18 + 9) is True
+        assert _is_prime(1000000007 * 1000000009) is False
+        start = time.perf_counter()
+        assert negdisc_criterion(1 - 4 * (10**18 + 9)) is False
+        assert negdisc_criterion(1 - 4 * 1000000007 ** 2) is False
+        assert negdisc_criterion(1 - 4 * 1000000007 * 1000000009) is True
+        assert time.perf_counter() - start < 1.0
+
+    def test_beyond_the_exact_range(self):
+        # 3317044064679887385961981 is the least strong pseudoprime to the
+        # first 13 prime bases; it and everything above it are refused
+        assert _is_prime(3317044064679887385961981 - 2) is False  # 17 * 195120239098816905056587
+        for m in (3317044064679887385961981, 10**30):
+            with pytest.raises(TooLarge) as exc:
+                negdisc_criterion(1 - 4 * m)
+            assert exc.value.code == "too-large"
 
 
 class TestB4Distinguishable:
