@@ -355,14 +355,20 @@ def canonical(f: Form) -> Form:
     D = discriminant(f)
     if D == 0:
         raise ZeroDiscriminant("no canonical form for discriminant 0")
+    return _canonical(f.a, f.b, f.c, D)
+
+
+def _canonical(a: int, b: int, c: int, D: int) -> Form:
+    # canonical(Form(a, b, c)) for the discriminant D = b^2 - 4ac != 0
     if D < 0:
-        if f.a > 0:
-            return Form(*_reduce_positive_definite(f.a, f.b, f.c))
-        return neg(Form(*_reduce_positive_definite(-f.a, -f.b, -f.c)))
+        if a > 0:
+            return Form(*_reduce_positive_definite(a, b, c))
+        a, b, c = _reduce_positive_definite(-a, -b, -c)
+        return Form(-a, -b, -c)
     N = isqrt(D)
     if N * N == D:
-        return _canonical_square(f, D)
-    return Form(*_walk(*_reduce_indefinite(f.a, f.b, f.c, D, N), D, N))
+        return _canonical_square(Form(a, b, c), D)
+    return Form(*_walk(*_reduce_indefinite(a, b, c, D, N), D, N))
 
 
 def is_equivalent(f1: Form, f2: Form) -> bool:

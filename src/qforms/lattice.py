@@ -45,7 +45,7 @@ from .errors import (
     ZeroDeterminant,
     ZeroDiscriminant,
 )
-from .forms import Form, FormClass, Mat2, bar as form_bar, content, discriminant, _ext_gcd, _require_sl2
+from .forms import Form, FormClass, Mat2, bar as form_bar, content, discriminant, _require_sl2
 
 
 MAT_J = Mat2(1, 0, 0, -1)
@@ -101,11 +101,12 @@ def _row_hnf(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], in
     """(H, U, det_U) with U unimodular, U @ mat = H in row Hermite form.
 
     Each column is cleared below its pivot row r by one extended-gcd step
-    per nonzero row i: with g = x h_rj + y h_ij, a = h_rj / g, b = h_ij / g,
-    the pair (row r, row i) becomes (x row r + y row i, a row i - b row r),
-    a 2x2 step of determinant x a + y b = 1.  Pivots are positive, entries
-    above a pivot are reduced into [0, pivot); zero rows sink to the
-    bottom.  det_U is +-1.
+    per nonzero row i: with g = gcd(h_rj, h_ij), a = h_rj / g, b = h_ij / g
+    and any x, y with x a + y b = 1 (x = a^-1 mod |b|), the pair
+    (row r, row i) becomes (x row r + y row i, a row i - b row r), a 2x2
+    step of determinant 1.  Pivots are positive, entries above a pivot
+    are reduced into [0, pivot); zero rows sink to the bottom.  det_U is
+    +-1.
     """
     h = [row[:] for row in mat]
     m = len(h)
@@ -125,8 +126,10 @@ def _row_hnf(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], in
             det_u = -det_u
         for i in range(r + 1, m):
             if h[i][j] != 0:
-                g, x, y = _ext_gcd(h[r][j], h[i][j])
+                g = gcd(h[r][j], h[i][j])
                 a, b = h[r][j] // g, h[i][j] // g
+                x = pow(a, -1, abs(b))  # 0 when b = +-1
+                y = (1 - x * a) // b
                 hr, hi, ur, ui = h[r], h[i], u[r], u[i]
                 h[r] = [x * s + y * t for s, t in zip(hr, hi)]
                 h[i] = [a * t - b * s for s, t in zip(hr, hi)]

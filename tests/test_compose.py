@@ -33,6 +33,9 @@ from qforms.errors import (
     NotPrimitive,
 )
 from qforms.forms import Form, FormClass, Mat2, act, bar, content, discriminant, form_class, neg
+from qforms.cli import main
+from qforms.errors import TooLarge
+from qforms.seifert import nonisotopic_exists
 
 
 def composable_partner(f, bound=9):
@@ -521,3 +524,28 @@ class TestArbitraryPrecision:
         # a = 1 makes the square trivial no matter the size
         m = 10**30 + 57
         assert special_square(1, m) == identity_class(1 - 4 * m)
+
+
+class TestDivisorPairsBudget:
+    # D = 1 - 4 * 10^20 passes negdisc_criterion (m = 10^20 is below the
+    # primality bound), but listing its divisor pairs would take 10^10 steps
+    D = 1 - 4 * 10**20
+
+    def test_fails_fast(self):
+        start = time.perf_counter()
+        for call in (lambda: divisor_pairs(10**20), lambda: divisor_pairs(-(10**14) - 1),
+                     lambda: nonisotopic_exists(self.D), lambda: special_classes(self.D)):
+            with pytest.raises(TooLarge) as exc:
+                call()
+            assert exc.value.code == "too-large"
+        assert time.perf_counter() - start < 1.0
+
+    def test_cli_exits_1(self, capsys):
+        start = time.perf_counter()
+        assert main(["seifert", "exists", str(self.D), "--json"]) == 1
+        assert '"error": "too-large"' in capsys.readouterr().out
+        assert time.perf_counter() - start < 1.0
+
+    def test_bound_is_inclusive(self):
+        # 10^14 = 2^14 * 5^14 has 15 * 15 divisors, each with both signs
+        assert len(divisor_pairs(10**14)) == 2 * 225
