@@ -28,13 +28,26 @@ composition goes through it.
 Class groups are enumerated per discriminant regime: Gauss-reduced forms
 of both definiteness signs for D < 0, reduced cycles for positive
 non-square D, and the residue parametrization a mod N -> [a x^2 + N x y]
-for D = N^2.  For positive non-square D the reduced forms are listed
-from the exact window on |a| for each b, and each cycle is walked once
-by ``forms._walk``, which returns its least form (the class
-representative) and lists its members; all of them are marked with that
-representative, so R reduced forms cost O(R) steps, not one cycle walk
-each.  Every function here is pure: nothing reads or writes files
-(only the ``qforms classgroup`` command keeps a cache, in ``qforms.cli``).
+for D = N^2.  For D < 0 only b = D (mod 2) occurs, so b runs over
+0 <= b <= a in steps of 2 and one test of b^2 = D (mod 4a) serves both
+signs of b; the forms found are reduced already, so they and their
+negatives become classes with no further reduction.  For positive
+non-square D the reduced forms are listed from the exact window on |a|
+for each b, and each cycle is walked once by ``forms._walk``, which
+returns its least form (the class representative) and lists its
+members; all of them are marked with that representative, so R reduced
+forms cost O(R) steps, not one cycle walk each.  ``class_group`` raises
+TooLarge before an enumeration longer than ``_CLASS_GROUP_SCAN_MAX``
+steps.
+
+The loops that compose classes pairwise (``OrientedClassGroup.table``,
+``element_order``, ``s_plus_subgroup`` and the coset step of
+``seifert.enumerate_realizable_pairs``) keep each class as its canonical
+coefficient triple and call ``_compose_reduced`` (``_compose``, then
+``forms._canonical``), the helper ``class_compose`` wraps; a
+``FormClass`` is built only for a value a public function returns.
+Every function here is pure: nothing reads or writes files (only the
+``qforms classgroup`` command keeps a cache, in ``qforms.cli``).
 """
 
 from __future__ import annotations
@@ -60,8 +73,6 @@ from .forms import (
     content,
     discriminant,
     form_class,
-    is_primitive,
-    neg,
     square_residue,
     substitute,
     _canonical,
@@ -218,13 +229,17 @@ def dirichlet_compose(f1: Form, f2: Form) -> Form:
     return Form(*_compose(f1.a, f1.b, f1.c, f2.a, f2.b, f2.c, D))
 
 
+def _compose_reduced(t1: tuple[int, int, int], t2: tuple[int, int, int], D: int) -> tuple[int, int, int]:
+    # the canonical coefficients of the class of t1 * t2, both of discriminant D
+    return _canonical(*_compose(*t1, *t2, D), D)
+
+
 def class_compose(s1: FormClass, s2: FormClass) -> FormClass:
     """Composition on classes; defined for coprime contents."""
     D = s1.disc
     if s2.disc != D:
         raise MismatchedDiscriminant(f"{s2.disc} != {D}")
-    f1, f2 = s1.representative, s2.representative
-    return FormClass(_canonical(*_compose(f1.a, f1.b, f1.c, f2.a, f2.b, f2.c, D), D), D)
+    return FormClass(Form(*_compose_reduced(s1.coeffs(), s2.coeffs(), D)), D)
 
 
 def class_bar(s: FormClass) -> FormClass:
@@ -282,19 +297,21 @@ class OrientedClassGroup:
     def table(self) -> list[list[int]]:
         """The composition table as an index matrix, computed lazily."""
         if self._table is None:
-            idx = {s: i for i, s in enumerate(self.elements)}
-            self._table = [
-                [idx[class_compose(x, y)] for y in self.elements]
-                for x in self.elements
-            ]
+            D = self.disc
+            triples = [s.coeffs() for s in self.elements]
+            idx = {t: i for i, t in enumerate(triples)}
+            self._table = [[idx[_compose_reduced(x, y, D)] for y in triples] for x in triples]
         return self._table
 
     def element_order(self, s: FormClass) -> int:
+        if s.disc != self.disc:
+            raise MismatchedDiscriminant(f"{s.disc} != {self.disc}")
+        t = s.coeffs()
+        e = self.elements[self.identity_index].coeffs()
         n = 1
-        acc = s
-        e = self.elements[self.identity_index]
+        acc = t
         while acc != e:
-            acc = class_compose(acc, s)
+            acc = _compose_reduced(acc, t, self.disc)
             n += 1
         return n
 
@@ -307,22 +324,23 @@ class OrientedClassGroup:
         }
 
 
-def _reduced_definite(D: int) -> list[Form]:
-    # positive definite Gauss-reduced primitive forms of discriminant D < 0
+def _reduced_definite(D: int) -> list[tuple[int, int, int]]:
+    # the positive definite Gauss-reduced primitive forms of discriminant
+    # D < 0: |b| <= a <= c, so 3a^2 <= |D|, and b = D mod 2; one test of
+    # b^2 = D mod 4a serves both signs of b, and (a, -b, c) is reduced
+    # unless b = 0, b = a or a = c
     out = []
-    amax = isqrt(-D // 3) + 1
-    for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            if (b * b - D) % (4 * a):
+    for a in range(1, isqrt(-D // 3) + 1):
+        m = 4 * a
+        for b in range(D % 2, a + 1, 2):
+            if (b * b - D) % m:
                 continue
-            c = (b * b - D) // (4 * a)
-            if c < a:
+            c = (b * b - D) // m
+            if c < a or gcd(a, b, c) != 1:
                 continue
-            if a == c and b < 0:
-                continue
-            f = Form(a, b, c)
-            if is_primitive(f):
-                out.append(f)
+            out.append((a, b, c))
+            if b and b != a and a != c:
+                out.append((a, -b, c))
     return out
 
 
@@ -365,18 +383,27 @@ def _indefinite_classes(D: int) -> tuple[list[FormClass], FormClass]:
 
 
 def class_group(D: int) -> OrientedClassGroup:
-    """The oriented class group of discriminant D (complete, with identity)."""
+    """The oriented class group of discriminant D (complete, with identity).
+
+    The enumeration takes about |D|/12 b-tests for D < 0, D/8 for positive
+    non-square D and N residues of 150 steps each for D = N^2; TooLarge is
+    raised before it starts when that exceeds _CLASS_GROUP_SCAN_MAX steps.
+    """
     _check_discriminant(D)
     N = isqrt(D) if D > 0 else 0
-    if D > 0 and N * N != D:
+    square = D > 0 and N * N == D
+    scan = 150 * N if square else -D // 12 if D < 0 else D // 8
+    if scan > _CLASS_GROUP_SCAN_MAX:
+        raise TooLarge(f"class groups are enumerated only up to {_CLASS_GROUP_SCAN_MAX} "
+                       f"steps, D = {D} needs about {scan}")
+    if D > 0 and not square:
         classes, identity = _indefinite_classes(D)
     else:
         identity = identity_class(D)
-        if D < 0:
-            classes = set()
-            for f in _reduced_definite(D):
-                classes.add(FormClass.of(f))
-                classes.add(FormClass.of(neg(f)))
+        if D < 0:  # reduced already, and their negatives are canonical too
+            triples = _reduced_definite(D)
+            triples += [(-a, -b, -c) for a, b, c in triples]
+            classes = [FormClass(Form(*t), D) for t in triples]
         elif N == 1:
             classes = {identity}
         else:
@@ -409,6 +436,14 @@ class SpecialClass:
 # divisor_pairs refuses |m| above this: its sqrt(|m|) = 10^7 trial
 # divisions take about 1 s (0.98 s on a 2-vCPU x86 host, Python 3.11)
 _DIVISOR_PAIRS_MAX = 10**14
+
+# class_group refuses a discriminant whose enumeration takes more steps
+# than this, a step being one b-test of the definite or indefinite scan
+# (about 0.12 us); a residue of the square scan builds a class through a
+# canonical call (about 17 us and 400 bytes), so it counts as 150 steps.
+# At the bound each regime takes about 2.4 s (D = -2.4 * 10^8, 1.6 * 10^8
+# and 133333^2 on a 2-vCPU x86 host, Python 3.11)
+_CLASS_GROUP_SCAN_MAX = 2 * 10**7
 
 
 def divisor_pairs(m: int) -> list[tuple[int, int]]:
@@ -460,19 +495,19 @@ def _require_one_mod_4(D: int) -> None:
 def s_plus_subgroup(D: int) -> list[FormClass]:
     """The subgroup of the class group generated by all special squares."""
     _require_one_mod_4(D)
-    generators = {special_square(s.a, s.c) for s in special_classes(D)}
-    subgroup = {identity_class(D)}
+    generators = {special_square(s.a, s.c).coeffs() for s in special_classes(D)}
+    subgroup = {identity_class(D).coeffs()}
     frontier = list(subgroup)
     while frontier:
         nxt = []
         for x in frontier:
             for g in generators:
-                y = class_compose(x, g)
+                y = _compose_reduced(x, g, D)
                 if y not in subgroup:
                     subgroup.add(y)
                     nxt.append(y)
         frontier = nxt
-    return sorted(subgroup, key=lambda s: s.coeffs())
+    return [FormClass(Form(*t), D) for t in sorted(subgroup)]
 
 
 # ---------------------------------------------------------------------------

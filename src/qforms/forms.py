@@ -338,12 +338,10 @@ def square_residue(f: Form) -> tuple[int, int]:
     return (N, inv % N if N > 1 else 0)
 
 
-def _canonical_square(f: Form, D: int) -> Form:
-    m = content(f)
-    N = isqrt(D)
-    prim = Form(f.a // m, f.b // m, f.c // m)
-    _, res = square_residue(prim)
-    return Form(m * res, N, 0)
+def _canonical_square(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
+    m = gcd(a, b, c)
+    _, res = square_residue(Form(a // m, b // m, c // m))
+    return m * res, isqrt(D), 0
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +353,20 @@ def canonical(f: Form) -> Form:
     D = discriminant(f)
     if D == 0:
         raise ZeroDiscriminant("no canonical form for discriminant 0")
-    return _canonical(f.a, f.b, f.c, D)
+    return Form(*_canonical(f.a, f.b, f.c, D))
 
 
-def _canonical(a: int, b: int, c: int, D: int) -> Form:
-    # canonical(Form(a, b, c)) for the discriminant D = b^2 - 4ac != 0
+def _canonical(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
+    # the coefficients of canonical(Form(a, b, c)), D = b^2 - 4ac != 0
     if D < 0:
         if a > 0:
-            return Form(*_reduce_positive_definite(a, b, c))
+            return _reduce_positive_definite(a, b, c)
         a, b, c = _reduce_positive_definite(-a, -b, -c)
-        return Form(-a, -b, -c)
+        return -a, -b, -c
     N = isqrt(D)
     if N * N == D:
-        return _canonical_square(Form(a, b, c), D)
-    return Form(*_walk(*_reduce_indefinite(a, b, c, D, N), D, N))
+        return _canonical_square(a, b, c, D)
+    return _walk(*_reduce_indefinite(a, b, c, D, N), D, N)
 
 
 def is_equivalent(f1: Form, f2: Form) -> bool:

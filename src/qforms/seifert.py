@@ -21,17 +21,17 @@ from __future__ import annotations
 from math import isqrt
 
 from .compose import (
-    class_bar,
     class_compose,
     class_group,
     divisor_pairs,
     identity_class,
     phi_n,
     special_square,
+    _compose_reduced,
     _require_one_mod_4,
 )
 from .errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, OutOfRange, TooLarge
-from .forms import Form, FormClass, Mat2, form_class, _ext_gcd
+from .forms import Form, FormClass, Mat2, _canonical, _ext_gcd
 from .lattice import KleinPair, is_symplectic, klein_inverse, q_of_plane, symplectic_complement
 
 Witness = tuple[int, int]
@@ -149,7 +149,13 @@ def b4_distinguishable(s1: FormClass, s2: FormClass) -> bool:
     """s1 not in {s2, bar(s2)}: pushed-in surfaces are non-isotopic in B^4."""
     if s1.disc != s2.disc:
         raise MismatchedDiscriminant(f"{s1.disc} != {s2.disc}")
-    return s1 != s2 and s1 != class_bar(s2)
+    return _b4_distinguishable(s1.coeffs(), s2.coeffs(), s1.disc)
+
+
+def _b4_distinguishable(t1: tuple[int, int, int], t2: tuple[int, int, int], D: int) -> bool:
+    # b4_distinguishable on canonical coefficients; bar(t2) is canonicalized again
+    a, b, c = t2
+    return t1 != t2 and t1 != _canonical(a, -b, c, D)
 
 
 def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> list[dict]:
@@ -165,26 +171,26 @@ def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> li
     table is built and nothing is read from or written to disk.
     """
     _require_one_mod_4(D)
-    classes = list(class_group(D).elements)
+    classes = [s.coeffs() for s in class_group(D).elements]
     if include_nonprimitive:
         m = 3
         while m * m <= abs(D):
             if D % (m * m) == 0 and (D // (m * m)) % 4 == 1:
-                for s in class_group(D // (m * m)).elements:
+                for s in class_group(D // (m * m)).elements:  # m times canonical is canonical
                     a, b, c = s.coeffs()
-                    classes.append(form_class(m * a, m * b, m * c))
+                    classes.append((m * a, m * b, m * c))
             m += 2
-        classes.sort(key=lambda s: s.coeffs())
-    squares = {special_square(a, c) for a, c in _special_witnesses(D)}
-    index = {s: i for i, s in enumerate(classes)}
+        classes.sort()
+    squares = {special_square(a, c).coeffs() for a, c in _special_witnesses(D)}
+    index = {t: i for i, t in enumerate(classes)}
     out = []
-    for i, s1 in enumerate(classes):
-        for s2 in {class_compose(t2, s1) for t2 in squares}:
-            if index.get(s2, -1) >= i:
+    for i, t1 in enumerate(classes):
+        for t2 in {_compose_reduced(t, t1, D) for t in squares}:
+            if index.get(t2, -1) >= i:
                 out.append({
-                    "s1": list(s1.coeffs()),
-                    "s2": list(s2.coeffs()),
-                    "b4_distinguishable": b4_distinguishable(s1, s2),
+                    "s1": list(t1),
+                    "s2": list(t2),
+                    "b4_distinguishable": _b4_distinguishable(t1, t2, D),
                 })
     out.sort(key=lambda d: (d["s1"], d["s2"]))
     return out

@@ -316,6 +316,15 @@ class TestClassGroup:
         assert time.perf_counter() - t0 < 1.0
         assert g.order == 1 and g.elements == [identity_class(1000033)]
 
+    def test_large_negative_class_group_within_budget(self):
+        # D = -100000007: about 8.3 * 10^6 tests of b = D mod 2; testing every
+        # b in (-a, a] took about 5.5 s
+        t0 = time.perf_counter()
+        g = class_group(-100000007)
+        assert time.perf_counter() - t0 < 3.0
+        assert g.order == 14506
+        assert g.elements[g.identity_index] == identity_class(-100000007)
+
 
 class TestSpecialClasses:
     def test_divisor_pair_order(self):
@@ -549,3 +558,33 @@ class TestDivisorPairsBudget:
     def test_bound_is_inclusive(self):
         # 10^14 = 2^14 * 5^14 has 15 * 15 divisors, each with both signs
         assert len(divisor_pairs(10**14)) == 2 * 225
+
+
+class TestClassGroupBudget:
+    # -400000000000003 needs about 3.3 * 10^13 b-tests; at -39999999999999
+    # m = (1 - D)/4 = 10^13 passes the divisor_pairs bound, but the class
+    # group would still need about 3.3 * 10^12
+
+    def test_fails_fast(self):
+        start = time.perf_counter()
+        for D in (-400000000000003, -39999999999999, 10**12 + 1, (10**8 + 1) ** 2):
+            with pytest.raises(TooLarge) as exc:
+                class_group(D)
+            assert exc.value.code == "too-large"
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("D,command", [
+        (-400000000000003, ["classgroup"]),
+        (-39999999999999, ["seifert", "pairs"]),
+    ])
+    @pytest.mark.parametrize("mode", ["json", "text"])
+    def test_cli_exits_1(self, capsys, tmp_path, D, command, mode):
+        flags = ["--json"] if mode == "json" else []
+        start = time.perf_counter()
+        assert main([*command, *flags, "--cache-dir", str(tmp_path), "--", str(D)]) == 1
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        if mode == "json":
+            assert '"error": "too-large"' in out
+        else:
+            assert "error[too-large]" in err
