@@ -4,27 +4,20 @@ Every subcommand builds one JSON document and renders its text form from
 that document; ``main`` prints the document with ``--json`` and the text
 otherwise.  Identical invocations produce byte-identical output.  Exit
 codes: 0 success, 1 domain error (with a stable machine-readable code in
-JSON mode), 2 usage error.
-
-Only ``classgroup`` keeps a cache, ``classgroup_<D>.json`` under
-``--cache-dir``: the document it prints plus ``"schema": 1``.
+JSON mode), 2 usage error.  The CLI reads and writes no files:
+``--cache-dir`` is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
-import tempfile
 
 from . import __version__
 from . import compose, cube as cube_mod, lattice, seifert
 from .errors import DomainError, MismatchedDiscriminant, NotSquareDiscriminant
 from .forms import Form, FormClass, Mat2, canonical, discriminant, form_class
-
-SCHEMA = 1
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -34,8 +27,7 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit JSON instead of text")
     common.add_argument("--cache-dir", metavar="DIR", default=argparse.SUPPRESS,
-                        help="where `classgroup` caches its output; entries are checked "
-                             "before use (default: $QFORMS_CACHE_DIR or .qforms-cache)")
+                        help="accepted and ignored: no command reads or writes files")
     return common
 
 
@@ -124,63 +116,6 @@ def _bool(value: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# The class-group cache of `qforms classgroup`
-
-
-def _ints(values) -> bool:
-    return set(map(type, values)) <= {int}  # no bool, no float
-
-
-def _valid_entry(entry, D: int, identity: list[int]) -> bool:
-    """O(h^2) integer checks of a cache entry; no composition, no cycle walk.
-
-    The key set is exact; ``disc`` is D; the elements are strictly
-    increasing int triples of discriminant D; ``elements[identity]`` is the
-    identity class; ``table`` is h x h, every row and column a permutation
-    of range(h), and the identity's row and column are the identity.  A
-    forged but consistent group law passes.
-    """
-    if not (isinstance(entry, dict)
-            and entry.keys() == {"schema", "disc", "elements", "identity", "table"}
-            and _ints([entry["schema"], entry["disc"], entry["identity"]])
-            and entry["schema"] == SCHEMA and entry["disc"] == D):
-        return False
-    elements, ident, table = entry["elements"], entry["identity"], entry["table"]
-    if not (isinstance(elements, list) and elements and all(
-            isinstance(e, list) and len(e) == 3 and _ints(e)
-            and e[1] * e[1] - 4 * e[0] * e[2] == D for e in elements)):
-        return False
-    if any(x >= y for x, y in zip(elements, elements[1:])):
-        return False
-    h = len(elements)
-    if not (0 <= ident < h and elements[ident] == identity):
-        return False
-    if not (isinstance(table, list) and len(table) == h and all(
-            isinstance(row, list) and len(row) == h and _ints(row) for row in table)):
-        return False
-    perm = list(range(h))
-    return (table[ident] == perm and [row[ident] for row in table] == perm
-            and all(sorted(row) == perm for row in table)
-            and all(len(set(col)) == h for col in zip(*table)))  # entries are in range(h)
-
-
-def _store(path: str, entry: dict) -> None:
-    # a temp file renamed over the entry; a failure leaves no temp file
-    # behind and is otherwise ignored (the cache is an optimization)
-    tmp = None
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh)
-        os.replace(tmp, path)
-    except OSError:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-
-
-# ---------------------------------------------------------------------------
 # Commands: each returns (JSON document, text rendered from it)
 
 
@@ -198,21 +133,7 @@ def _cmd_compose(args) -> tuple[dict, str]:
 
 
 def _cmd_classgroup(args) -> tuple[dict, str]:
-    # class_group(D).to_dict(), read from a checked cache entry when there is one
-    D = _resolve_disc(args)
-    identity = list(compose.identity_class(D).coeffs())  # rejects a non-discriminant first
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get("QFORMS_CACHE_DIR") or ".qforms-cache"
-    path = os.path.join(cache_dir, f"classgroup_{D}.json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError, RecursionError):
-        doc = None
-    if _valid_entry(doc, D, identity):
-        del doc["schema"]
-    else:
-        doc = compose.class_group(D).to_dict()
-        _store(path, {**doc, "schema": SCHEMA})
+    doc = compose.class_group(_resolve_disc(args)).to_dict()
     return doc, "\n".join(_line(e) for e in doc["elements"])
 
 
@@ -326,9 +247,12 @@ def _cmd_seifert_pair(args) -> tuple[dict, str]:
 
 def _cmd_seifert_pairs(args) -> tuple[dict, str]:
     disc = _resolve_disc(args)
-    found, witness = seifert.nonisotopic_exists(disc)
+    # not-a-discriminant before not-one-mod-4, and the class_group budget
+    # before the witness search's trial division up to sqrt((1 - D) / 4)
+    compose.identity_class(disc)
     pairs = seifert.enumerate_realizable_pairs(
         disc, include_nonprimitive=args.include_nonprimitive)
+    found, witness = seifert.nonisotopic_exists(disc)
     doc = _witness_doc(disc, found, witness, pairs)
     return doc, "\n".join(
         f"{_line(p['s1'])} | {_line(p['s2'])} | b4:{_bool(p['b4_distinguishable'])}"

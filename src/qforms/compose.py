@@ -31,7 +31,8 @@ non-square D, and the residue parametrization a mod N -> [a x^2 + N x y]
 for D = N^2.  For D < 0 only b = D (mod 2) occurs, so b runs over
 0 <= b <= a in steps of 2 and one test of b^2 = D (mod 4a) serves both
 signs of b; the forms found are reduced already, so they and their
-negatives become classes with no further reduction.  For positive
+negatives become classes with no further reduction, as do the canonical
+triples (a, N, 0), 0 < a < N coprime to N, of D = N^2.  For positive
 non-square D the reduced forms are listed from the exact window on |a|
 for each b, and each cycle is walked once by ``forms._walk``, which
 returns its least form (the class representative) and lists its
@@ -46,8 +47,7 @@ The loops that compose classes pairwise (``OrientedClassGroup.table``,
 coefficient triple and call ``_compose_reduced`` (``_compose``, then
 ``forms._canonical``), the helper ``class_compose`` wraps; a
 ``FormClass`` is built only for a value a public function returns.
-Every function here is pure: nothing reads or writes files (only the
-``qforms classgroup`` command keeps a cache, in ``qforms.cli``).
+Every function here is pure: nothing reads or writes files.
 """
 
 from __future__ import annotations
@@ -300,7 +300,13 @@ class OrientedClassGroup:
             D = self.disc
             triples = [s.coeffs() for s in self.elements]
             idx = {t: i for i, t in enumerate(triples)}
-            self._table = [[idx[_compose_reduced(x, y, D)] for y in triples] for x in triples]
+            h = len(triples)
+            table = [[0] * h for _ in range(h)]
+            # the group is abelian: one composition per unordered pair
+            for i, x in enumerate(triples):
+                for j in range(i, h):
+                    table[i][j] = table[j][i] = idx[_compose_reduced(x, triples[j], D)]
+            self._table = table
         return self._table
 
     def element_order(self, s: FormClass) -> int:
@@ -407,7 +413,8 @@ def class_group(D: int) -> OrientedClassGroup:
         elif N == 1:
             classes = {identity}
         else:
-            classes = {form_class(a, N, 0) for a in range(1, N) if gcd(a, N) == 1}
+            # (a, N, 0) with gcd(a, N) = 1, 0 < a < N is canonical already
+            classes = [FormClass(Form(a, N, 0), D) for a in range(1, N) if gcd(a, N) == 1]
     elements = sorted(classes, key=lambda s: s.coeffs())
     return OrientedClassGroup(D, elements, elements.index(identity))
 
@@ -439,10 +446,13 @@ _DIVISOR_PAIRS_MAX = 10**14
 
 # class_group refuses a discriminant whose enumeration takes more steps
 # than this, a step being one b-test of the definite or indefinite scan
-# (about 0.12 us); a residue of the square scan builds a class through a
-# canonical call (about 17 us and 400 bytes), so it counts as 150 steps.
-# At the bound each regime takes about 2.4 s (D = -2.4 * 10^8, 1.6 * 10^8
-# and 133333^2 on a 2-vCPU x86 host, Python 3.11)
+# (about 0.12 us; about 2.4 s at the bound, D = -2.4 * 10^8 and 1.6 * 10^8).
+# A residue of the square scan becomes a class with no reduction (about
+# 3 us), but each class holds about 300 bytes until the call returns, so a
+# residue counts as 150 steps: that bounds the peak memory, not the time.
+# At the bound, D = 133333^2, it is 132,300 classes, about 40 MB, in
+# 0.4 s; one step per residue would allow 2 * 10^7 classes, about 6 GB
+# (2-vCPU x86 host, Python 3.11)
 _CLASS_GROUP_SCAN_MAX = 2 * 10**7
 
 

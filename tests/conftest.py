@@ -9,12 +9,6 @@ from qforms.lattice import KleinPair, gross
 from math import gcd
 
 
-@pytest.fixture(autouse=True)
-def _cache_dir(tmp_path, monkeypatch):
-    """Keep the CLI's class-group cache out of the working directory."""
-    monkeypatch.setenv("QFORMS_CACHE_DIR", str(tmp_path / "qforms-cache"))
-
-
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -38,6 +38,42 @@ def test_readme_example_golden(capsys, cmd, mode):
     assert code == 0 and out == GOLDEN[cmd][mode]
 
 
+def _forged_classgroup_entry() -> str:
+    """A classgroup_-23.json in the format older versions cached: the true
+    elements and identity with a consistent but false table (Z/6 in another
+    labelling)."""
+    entry = class_group(-23).to_dict()
+    h, e = 6, entry["identity"]
+    label = [e] + [i for i in range(h) if i != e]
+    forged = [[0] * h for _ in range(h)]
+    for x in range(h):
+        for y in range(h):
+            forged[label[x]][label[y]] = label[(x + y) % h]
+    assert forged != entry["table"]
+    return json.dumps({**entry, "table": forged, "schema": 1})
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("cmd", readme_examples())
+def test_no_file_is_read_or_written(capsys, tmp_path, monkeypatch, cmd, mode):
+    # a forged entry where --cache-dir, $QFORMS_CACHE_DIR and the working
+    # directory's .qforms-cache point changes no output, and nothing is written
+    planted = [tmp_path / d / "classgroup_-23.json" for d in ("flag", "env", ".qforms-cache")]
+    forged = _forged_classgroup_entry()
+    for path in planted:
+        path.parent.mkdir()
+        path.write_text(forged)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QFORMS_CACHE_DIR", raising=False)
+    argv = cmd.split() + (["--json"] if mode == "json" else [])
+    expected = (0, GOLDEN[cmd][mode])
+    assert run_cli(capsys, *argv)[:2] == expected
+    monkeypatch.setenv("QFORMS_CACHE_DIR", str(tmp_path / "env"))
+    assert run_cli(capsys, *argv)[:2] == expected
+    assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path / "flag"))[:2] == expected
+    assert sorted(p for p in tmp_path.rglob("*") if not p.is_dir()) == sorted(planted)
+
+
 class TestBasicCommands:
     def test_reduce(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "4", "-11", "9")
@@ -113,6 +149,24 @@ class TestSeifert:
         assert sum(p["s1"] != p["s2"] for p in pairs) == 6
         assert sum(p["b4_distinguishable"] for p in pairs) == 4
 
+    # D in [-8, 9]: D = 0 and D = 2, 3 mod 4 are not discriminants
+    @pytest.mark.parametrize("D", range(-8, 10))
+    def test_pairs_error_codes(self, capsys, D):
+        expected = ("not-one-mod-4" if D in (-8, -4, 4, 8)
+                    else None if D in (-7, -3, 1, 5, 9) else "not-a-discriminant")
+        code, out, _ = run_cli(capsys, "seifert", "pairs", "--json", "--", str(D))
+        assert (code, json.loads(out).get("error")) == (0 if expected is None else 1, expected)
+
+    def test_pairs_budget_before_witness_search(self, capsys, monkeypatch):
+        # -39999999999999 is past the class_group budget: no divisor of
+        # (1 - D)/4 = 10^13 is tried before it exits
+        def refuse(m):
+            raise RuntimeError(f"divisor_pairs({m}) was called")
+
+        monkeypatch.setattr("qforms.seifert.divisor_pairs", refuse)
+        code, out, _ = run_cli(capsys, "seifert", "pairs", "--json", "--", "-39999999999999")
+        assert code == 1 and json.loads(out)["error"] == "too-large"
+
     def test_feher(self, capsys):
         code, out, _ = run_cli(capsys, "seifert", "feher", "2", "3", "1", "5", "--json")
         doc = json.loads(out)
@@ -184,20 +238,6 @@ class TestErrorsAndModes:
         b = run_cli(capsys, "seifert", "pairs", "-23", "--json")
         assert a == b
 
-    def test_cache_does_not_change_output(self, capsys, tmp_path):
-        _, cold, _ = run_cli(capsys, "classgroup", "905", "--json",
-                             "--cache-dir", str(tmp_path / "c"))
-        _, warm, _ = run_cli(capsys, "classgroup", "905", "--json",
-                             "--cache-dir", str(tmp_path / "c"))
-        _, none, _ = run_cli(capsys, "classgroup", "905", "--json",
-                             "--cache-dir", str(tmp_path / "never"))
-        assert cold == warm == none
-
-    def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("QFORMS_CACHE_DIR", str(tmp_path / "envcache"))
-        run_cli(capsys, "classgroup", "-23")
-        assert (tmp_path / "envcache" / "classgroup_-23.json").exists()
-
     def test_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "qforms.cli", "compose",
                               "2", "1", "3", "2", "1", "3"],
@@ -218,171 +258,3 @@ class TestErrorsAndModes:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("qforms ")
-
-
-def _entry(D):
-    """The cache entry `qforms classgroup D` writes."""
-    return {**class_group(D).to_dict(), "schema": 1}
-
-
-def _holds_entry(path, D):
-    # json.dumps tells 1 from 1.0 and true, which == does not
-    return json.dumps(json.loads(path.read_text()), sort_keys=True) == json.dumps(_entry(D), sort_keys=True)
-
-
-def _others(entry):
-    return [i for i in range(len(entry["elements"])) if i != entry["identity"]]
-
-
-def _swap_in_row(entry):
-    # rows stay permutations, two columns get a repeated entry
-    r, c1, c2 = _others(entry)[:3]
-    table = [list(row) for row in entry["table"]]
-    table[r][c1], table[r][c2] = table[r][c2], table[r][c1]
-    return {**entry, "table": table}
-
-
-def _swap_rows(entry):
-    # still a Latin square, but the identity's column is no longer the identity
-    r1, r2 = _others(entry)[:2]
-    table = list(entry["table"])
-    table[r1], table[r2] = table[r2], table[r1]
-    return {**entry, "table": table}
-
-
-def _swap_columns(entry):
-    # still a Latin square, but the identity's row is no longer the identity
-    c1, c2 = _others(entry)[:2]
-    table = [list(row) for row in entry["table"]]
-    for row in table:
-        row[c1], row[c2] = row[c2], row[c1]
-    return {**entry, "table": table}
-
-
-def _swap_in_column(entry):
-    # columns stay permutations, two rows get a repeated entry
-    r1, r2, c = _others(entry)[:3]
-    table = [list(row) for row in entry["table"]]
-    table[r1][c], table[r2][c] = table[r2][c], table[r1][c]
-    return {**entry, "table": table}
-
-
-def _move_identity(entry):
-    # a consistent table whose neutral element is a non-identity class
-    e, j = entry["identity"], _others(entry)[0]
-    swap = {e: j, j: e}
-    relabel = [swap.get(i, i) for i in range(len(entry["elements"]))]
-    table = [[0] * len(relabel) for _ in relabel]
-    for x, row in enumerate(entry["table"]):
-        for y, v in enumerate(row):
-            table[relabel[x]][relabel[y]] = relabel[v]
-    return {**entry, "table": table, "identity": j}
-
-
-def _swap_elements(entry):
-    # out of order; identity and table untouched
-    i, j = _others(entry)[:2]
-    elements = list(entry["elements"])
-    elements[i], elements[j] = elements[j], elements[i]
-    return {**entry, "elements": elements}
-
-
-# each turns the valid entry for D = -23 into one the checks must reject
-CORRUPT = {
-    "element-list": lambda e: {**e, "elements": [[1, 1, 6]]},
-    "element-order": _swap_elements,
-    "element-of-other-disc": lambda e: {**e, "elements": [[-3, 0, 0]] + e["elements"][1:]},
-    "other-disc": lambda e: {**e, "elements": [[1, 1, 6]], "table": [[0]], "identity": 0, "disc": -27},
-    "table-zz": lambda e: {**e, "table": "zz"},
-    "table-shifted": lambda e: {**e, "table": [row[1:] + row[:1] for row in e["table"]]},
-    "table-not-latin": lambda e: {**e, "table": [[0] * 6] * 6},
-    "column-repeats": _swap_in_row,
-    "row-repeats": _swap_in_column,
-    "table-floats": lambda e: {**e, "table": [[float(v) for v in row] for row in e["table"]]},
-    "rows-swapped": _swap_rows,
-    "columns-swapped": _swap_columns,
-    "identity-wrong-index": lambda e: {**e, "identity": (e["identity"] + 1) % 6},
-    "identity-not-the-identity-class": _move_identity,
-    "identity-out-of-range": lambda e: {**e, "identity": 6},
-    "identity-bool": lambda e: {**e, "identity": True},
-    "float-coefficients": lambda e: {**e, "elements": [[float(v) for v in t] for t in e["elements"]]},
-    "missing-schema": lambda e: {k: v for k, v in e.items() if k != "schema"},
-    "schema-2": lambda e: {**e, "schema": 2},
-    "schema-bool": lambda e: {**e, "schema": True},
-    "extra-key": lambda e: {**e, "extra": 0},
-    "not-an-object": lambda e: [e],
-}
-
-
-class TestCache:
-    @pytest.mark.parametrize("mode", ["text", "json"])
-    def test_readme_examples_cold_then_warm(self, capsys, tmp_path, mode):
-        for cmd in readme_examples():
-            argv = cmd.split() + ["--cache-dir", str(tmp_path)] + (["--json"] if mode == "json" else [])
-            for _ in ("cold", "warm"):
-                assert run_cli(capsys, *argv)[:2] == (0, GOLDEN[cmd][mode])
-        # only classgroup caches
-        assert [p.name for p in tmp_path.iterdir()] == ["classgroup_-23.json"]
-
-    def test_table_round_trip(self, capsys, tmp_path):
-        argv = ["classgroup", "-23", "--json", "--cache-dir", str(tmp_path)]
-        _, cold, _ = run_cli(capsys, *argv)
-        entry = tmp_path / "classgroup_-23.json"
-        assert _holds_entry(entry, -23)
-        assert json.loads(cold) == class_group(-23).to_dict()
-        mtime = entry.stat().st_mtime_ns
-        _, warm, _ = run_cli(capsys, *argv)
-        assert warm == cold and entry.stat().st_mtime_ns == mtime  # read, not rewritten
-
-    def test_cache_is_pure_optimization(self, capsys, tmp_path):
-        argv = ["classgroup", "905", "--json", "--cache-dir", str(tmp_path)]
-        _, fresh, _ = run_cli(capsys, *argv)
-        (tmp_path / "classgroup_905.json").write_text("{not json")
-        assert run_cli(capsys, *argv)[:2] == (0, fresh)
-        assert _holds_entry(tmp_path / "classgroup_905.json", 905)
-
-    def test_valid_entry_is_printed_as_read(self, capsys, tmp_path):
-        # the checks are integer checks on the shape, not the group law: a
-        # consistent forged table (Z/6 in another labelling) is printed
-        entry = _entry(-23)
-        h, e = 6, entry["identity"]
-        label = [e] + [i for i in range(h) if i != e]
-        forged = [[0] * h for _ in range(h)]
-        for x in range(h):
-            for y in range(h):
-                forged[label[x]][label[y]] = label[(x + y) % h]
-        assert forged != entry["table"]
-        (tmp_path / "classgroup_-23.json").write_text(json.dumps({**entry, "table": forged}))
-        _, out, _ = run_cli(capsys, "classgroup", "-23", "--json", "--cache-dir", str(tmp_path))
-        assert json.loads(out)["table"] == forged
-
-    @pytest.mark.parametrize("corrupt", list(CORRUPT))
-    @pytest.mark.parametrize("mode", ["text", "json"])
-    def test_corrupt_entry_is_recomputed_and_rewritten(self, capsys, tmp_path, corrupt, mode):
-        path = tmp_path / "classgroup_-23.json"
-        path.write_text(json.dumps(CORRUPT[corrupt](_entry(-23))))
-        argv = ["classgroup", "-23", "--cache-dir", str(tmp_path)] + (["--json"] if mode == "json" else [])
-        assert run_cli(capsys, *argv)[:2] == (0, GOLDEN["classgroup -23"][mode])
-        assert _holds_entry(path, -23)
-
-    def test_truncated_entry_is_recomputed_and_rewritten(self, capsys, tmp_path):
-        path = tmp_path / "classgroup_-23.json"
-        path.write_text(json.dumps(_entry(-23))[:-7])
-        argv = ["classgroup", "-23", "--json", "--cache-dir", str(tmp_path)]
-        assert run_cli(capsys, *argv)[:2] == (0, GOLDEN["classgroup -23"]["json"])
-        assert _holds_entry(path, -23)
-
-    def test_planted_entry_does_not_change_seifert_pairs(self, capsys, tmp_path):
-        planted = tmp_path / "classgroup_-23.json"
-        planted.write_text(json.dumps({"disc": -23, "elements": [[1, 1, 6]], "identity": 0}))
-        for mode in ("text", "json"):
-            argv = ["seifert", "pairs", "-23", "--cache-dir", str(tmp_path)] + (["--json"] if mode == "json" else [])
-            assert run_cli(capsys, *argv)[:2] == (0, GOLDEN["seifert pairs -23"][mode])
-        assert list(tmp_path.iterdir()) == [planted]  # seifert pairs writes no cache file
-
-    def test_failed_write_leaves_no_temp_file(self, capsys, tmp_path):
-        (tmp_path / "classgroup_-23.json").mkdir()  # the final rename cannot replace a directory
-        for _ in range(2):
-            code, out, _ = run_cli(capsys, "classgroup", "-23", "--cache-dir", str(tmp_path))
-            assert code == 0 and out == GOLDEN["classgroup -23"]["text"]
-        assert [p.name for p in tmp_path.iterdir()] == ["classgroup_-23.json"]
