@@ -238,6 +238,15 @@ class TestErrorsAndModes:
         b = run_cli(capsys, "seifert", "pairs", "-23", "--json")
         assert a == b
 
+    def test_cache_does_not_change_output(self, capsys, tmp_path):
+        _, cold, _ = run_cli(capsys, "classgroup", "905", "--json",
+                             "--cache-dir", str(tmp_path / "c"))
+        _, warm, _ = run_cli(capsys, "classgroup", "905", "--json",
+                             "--cache-dir", str(tmp_path / "c"))
+        _, none, _ = run_cli(capsys, "classgroup", "905", "--json",
+                             "--cache-dir", str(tmp_path / "never"))
+        assert cold == warm == none
+
     def test_entry_point(self):
         out = subprocess.run([sys.executable, "-m", "qforms.cli", "compose",
                               "2", "1", "3", "2", "1", "3"],
@@ -258,3 +267,37 @@ class TestErrorsAndModes:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("qforms ")
+
+
+class TestCache:
+    """`--cache-dir` is accepted and ignored: no command reads or writes there."""
+
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    def test_readme_examples_cold_then_warm(self, capsys, tmp_path, mode):
+        for cmd in readme_examples():
+            argv = cmd.split() + ["--cache-dir", str(tmp_path)] + (["--json"] if mode == "json" else [])
+            for _ in ("cold", "warm"):
+                assert run_cli(capsys, *argv)[:2] == (0, GOLDEN[cmd][mode])
+        assert list(tmp_path.iterdir()) == []  # nothing is written
+
+    def test_cache_is_pure_optimization(self, capsys, tmp_path):
+        argv = ["classgroup", "905", "--json", "--cache-dir", str(tmp_path)]
+        _, fresh, _ = run_cli(capsys, *argv)
+        (tmp_path / "classgroup_905.json").write_text("{not json")
+        assert run_cli(capsys, *argv)[:2] == (0, fresh)
+        assert (tmp_path / "classgroup_905.json").read_text() == "{not json"  # not rewritten
+
+    def test_planted_entry_does_not_change_seifert_pairs(self, capsys, tmp_path):
+        planted = tmp_path / "classgroup_-23.json"
+        planted.write_text(json.dumps({"disc": -23, "elements": [[1, 1, 6]], "identity": 0}))
+        for mode in ("text", "json"):
+            argv = ["seifert", "pairs", "-23", "--cache-dir", str(tmp_path)] + (["--json"] if mode == "json" else [])
+            assert run_cli(capsys, *argv)[:2] == (0, GOLDEN["seifert pairs -23"][mode])
+        assert list(tmp_path.iterdir()) == [planted]  # seifert pairs writes no cache file
+
+    def test_failed_write_leaves_no_temp_file(self, capsys, tmp_path):
+        (tmp_path / "classgroup_-23.json").mkdir()  # a directory where an entry file would go
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "classgroup", "-23", "--cache-dir", str(tmp_path))
+            assert code == 0 and out == GOLDEN["classgroup -23"]["text"]
+        assert [p.name for p in tmp_path.iterdir()] == ["classgroup_-23.json"]
