@@ -1,10 +1,10 @@
 """qforms: exact arithmetic for integral binary quadratic forms.
 
 Reduction and proper equivalence in all discriminant regimes, Gauss
-composition through concordant forms, oriented class groups, the Klein
-correspondence between planes in Z^4 and pairs of traceless matrices,
-Bhargava cubes, and the realization criteria for Seifert-form pairs of
-disjoint genus-one surfaces.
+composition computed directly from the coefficients, oriented class
+groups, the Klein correspondence between planes in Z^4 and pairs of
+traceless matrices, Bhargava cubes, and the realization criteria for
+Seifert-form pairs of disjoint genus-one surfaces.
 """
 
 __version__ = "0.1.0"

@@ -5,7 +5,9 @@ that document; ``main`` prints the document with ``--json`` and the text
 otherwise.  Identical invocations produce byte-identical output.  Exit
 codes: 0 success, 1 domain error (with a stable machine-readable code in
 JSON mode), 2 usage error.  The CLI reads and writes no files:
-``--cache-dir`` is accepted for compatibility and ignored.
+``--cache-dir`` is accepted for compatibility and ignored.  ``lattice``,
+``cube`` and ``seifert`` are imported only by the commands that use
+them, so the other commands do not pay for their import at start-up.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import sys
 
 from . import __version__
-from . import compose, cube as cube_mod, lattice, seifert
+from . import compose
 from .errors import DomainError, MismatchedDiscriminant, NotSquareDiscriminant
 from .forms import Form, FormClass, Mat2, canonical, discriminant, form_class
 
@@ -153,6 +155,8 @@ def _cmd_special_squares(args) -> tuple[dict, str]:
 
 
 def _cmd_klein(args) -> tuple[dict, str]:
+    from . import lattice
+
     if args.plane is not None:
         v = args.plane
         plane = lattice.Plane.from_basis(Mat2.from_coords(*v[:4]), Mat2.from_coords(*v[4:]))
@@ -193,6 +197,8 @@ def _cmd_klein(args) -> tuple[dict, str]:
 
 
 def _cmd_cube(args) -> tuple[dict, str]:
+    from . import cube as cube_mod
+
     if args.from_forms is not None:
         c = args.from_forms
         box = cube_mod.cube_from_forms(Form(*c[:3]), Form(*c[3:]))
@@ -227,12 +233,16 @@ def _witness_text(doc: dict) -> str:
 
 
 def _cmd_seifert_exists(args) -> tuple[dict, str]:
+    from . import seifert
+
     disc = _resolve_disc(args)
     doc = _witness_doc(disc, *seifert.nonisotopic_exists(disc), [])
     return doc, _witness_text(doc)
 
 
 def _cmd_seifert_pair(args) -> tuple[dict, str]:
+    from . import seifert
+
     v = args.args
     disc, s1, s2 = v[0], form_class(*v[1:4]), form_class(*v[4:7])
     if s1.disc != disc or s2.disc != disc:
@@ -246,6 +256,8 @@ def _cmd_seifert_pair(args) -> tuple[dict, str]:
 
 
 def _cmd_seifert_pairs(args) -> tuple[dict, str]:
+    from . import seifert
+
     disc = _resolve_disc(args)
     # not-a-discriminant before not-one-mod-4, and the class_group budget
     # before the witness search's trial division up to sqrt((1 - D) / 4)
@@ -261,6 +273,8 @@ def _cmd_seifert_pairs(args) -> tuple[dict, str]:
 
 
 def _cmd_seifert_feher(args) -> tuple[dict, str]:
+    from . import lattice, seifert
+
     pair, t1, t2 = seifert.feher_klein_pair(*args.params)
     doc = {
         "pair": lattice.pair_to_dict(pair),

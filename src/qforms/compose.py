@@ -41,13 +41,18 @@ forms cost O(R) steps, not one cycle walk each.  ``class_group`` raises
 TooLarge before an enumeration longer than ``_CLASS_GROUP_SCAN_MAX``
 steps.
 
-The loops that compose classes pairwise (``OrientedClassGroup.table``,
+``_class_triples`` is the enumeration on canonical coefficient triples;
+``class_group`` wraps its result in ``FormClass`` objects.  The loops
+that compose classes pairwise (``OrientedClassGroup.table``,
 ``element_order``, ``s_plus_subgroup`` and the coset step of
-``seifert.enumerate_realizable_pairs``) keep each class as its canonical
-coefficient triple and call ``_compose_reduced`` (``_compose``, then
-``forms._canonical``), the helper ``class_compose`` wraps; a
-``FormClass`` is built only for a value a public function returns.
-Every function here is pure: nothing reads or writes files.
+``seifert.enumerate_realizable_pairs``) keep each class as its triple
+and call ``_compose_reduced`` (``_compose``, then ``forms._canonical``),
+the helper ``class_compose`` wraps; a ``FormClass`` is built only for a
+value a public function returns.  ``table`` composes each unordered pair
+once and raises TooLarge past ``_TABLE_MAX`` compositions.
+``s_plus_subgroup`` and the coset step compose with the special squares
+of ``_half_special_squares`` only: no identity, one of each inverse
+pair.  Every function here is pure: nothing reads or writes files.
 """
 
 from __future__ import annotations
@@ -266,10 +271,15 @@ def class_power(s: FormClass, n: int) -> FormClass:
 
 def identity_class(D: int) -> FormClass:
     """The neutral class of discriminant D."""
+    return FormClass(Form(*_identity(D)), D)
+
+
+def _identity(D: int) -> tuple[int, int, int]:
+    # the canonical coefficients of the neutral class of discriminant D
     _check_discriminant(D)
     if D % 4 == 1:
-        return form_class(1, 1, (1 - D) // 4)
-    return form_class(1, 0, -D // 4)
+        return _canonical(1, 1, (1 - D) // 4, D)
+    return _canonical(1, 0, -D // 4, D)
 
 
 def _check_discriminant(D: int) -> None:
@@ -295,12 +305,19 @@ class OrientedClassGroup:
         return len(self.elements)
 
     def table(self) -> list[list[int]]:
-        """The composition table as an index matrix, computed lazily."""
+        """The composition table as an index matrix, computed lazily.
+
+        It takes h(h+1)/2 compositions; TooLarge is raised before anything
+        is allocated when that exceeds _TABLE_MAX.
+        """
         if self._table is None:
             D = self.disc
+            h = len(self.elements)
+            if h * (h + 1) // 2 > _TABLE_MAX:
+                raise TooLarge(f"composition tables are built only up to {_TABLE_MAX} compositions, "
+                               f"D = {D} with {h} classes needs {h * (h + 1) // 2}")
             triples = [s.coeffs() for s in self.elements]
             idx = {t: i for i, t in enumerate(triples)}
-            h = len(triples)
             table = [[0] * h for _ in range(h)]
             # the group is abelian: one composition per unordered pair
             for i, x in enumerate(triples):
@@ -367,8 +384,9 @@ def _reduced_indefinite(D: int, sq: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _indefinite_classes(D: int) -> tuple[list[FormClass], FormClass]:
-    """The classes of D > 0 non-square and the identity class among them.
+def _indefinite_classes(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, int, int]]:
+    """The canonical triples of the classes of D > 0 non-square and the
+    identity's among them.
 
     Each reduced cycle is walked once: its members are marked and its least
     form is the class representative, so R reduced forms cost O(R) steps.
@@ -381,11 +399,37 @@ def _indefinite_classes(D: int) -> tuple[list[FormClass], FormClass]:
             cycle = []
             rep = _walk(*f, D, sq, members=cycle)
             rep_of.update(dict.fromkeys(cycle, rep))
-            classes.append(FormClass(Form(*rep), D))
+            classes.append(rep)
     # (1, b, (b^2 - D)/4) with b = sq or sq - 1 of D's parity is reduced and
     # a translate of the principal form, so its cycle is the identity class
     b = sq - (sq - D) % 2
-    return classes, FormClass(Form(*rep_of[(1, b, (b * b - D) // 4)]), D)
+    return classes, rep_of[(1, b, (b * b - D) // 4)]
+
+
+def _class_triples(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, int, int]]:
+    # the sorted canonical triples of the classes of D and the identity's;
+    # the budget of class_group is checked here, before any enumeration
+    _check_discriminant(D)
+    N = isqrt(D) if D > 0 else 0
+    square = D > 0 and N * N == D
+    scan = 150 * N if square else -D // 12 if D < 0 else D // 8
+    if scan > _CLASS_GROUP_SCAN_MAX:
+        raise TooLarge(f"class groups are enumerated only up to {_CLASS_GROUP_SCAN_MAX} "
+                       f"steps, D = {D} needs about {scan}")
+    if D > 0 and not square:
+        triples, identity = _indefinite_classes(D)
+    else:
+        identity = _identity(D)
+        if D < 0:  # reduced already, and their negatives are canonical too
+            triples = _reduced_definite(D)
+            triples += [(-a, -b, -c) for a, b, c in triples]
+        elif N == 1:
+            triples = [identity]
+        else:
+            # (a, N, 0) with gcd(a, N) = 1, 0 < a < N is canonical already
+            triples = [(a, N, 0) for a in range(1, N) if gcd(a, N) == 1]
+    triples.sort()
+    return triples, identity
 
 
 def class_group(D: int) -> OrientedClassGroup:
@@ -395,28 +439,8 @@ def class_group(D: int) -> OrientedClassGroup:
     non-square D and N residues of 150 steps each for D = N^2; TooLarge is
     raised before it starts when that exceeds _CLASS_GROUP_SCAN_MAX steps.
     """
-    _check_discriminant(D)
-    N = isqrt(D) if D > 0 else 0
-    square = D > 0 and N * N == D
-    scan = 150 * N if square else -D // 12 if D < 0 else D // 8
-    if scan > _CLASS_GROUP_SCAN_MAX:
-        raise TooLarge(f"class groups are enumerated only up to {_CLASS_GROUP_SCAN_MAX} "
-                       f"steps, D = {D} needs about {scan}")
-    if D > 0 and not square:
-        classes, identity = _indefinite_classes(D)
-    else:
-        identity = identity_class(D)
-        if D < 0:  # reduced already, and their negatives are canonical too
-            triples = _reduced_definite(D)
-            triples += [(-a, -b, -c) for a, b, c in triples]
-            classes = [FormClass(Form(*t), D) for t in triples]
-        elif N == 1:
-            classes = {identity}
-        else:
-            # (a, N, 0) with gcd(a, N) = 1, 0 < a < N is canonical already
-            classes = [FormClass(Form(a, N, 0), D) for a in range(1, N) if gcd(a, N) == 1]
-    elements = sorted(classes, key=lambda s: s.coeffs())
-    return OrientedClassGroup(D, elements, elements.index(identity))
+    triples, identity = _class_triples(D)
+    return OrientedClassGroup(D, [FormClass(Form(*t), D) for t in triples], triples.index(identity))
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +479,14 @@ _DIVISOR_PAIRS_MAX = 10**14
 # (2-vCPU x86 host, Python 3.11)
 _CLASS_GROUP_SCAN_MAX = 2 * 10**7
 
+# OrientedClassGroup.table refuses a group whose table takes more
+# compositions than this, h(h+1)/2 for h classes, so h > 631.  One
+# composition with its reduction took 3-6 us for D < 0 (tables of
+# h = 78 to 496), 11-12 us for D = N^2 (h = 630 at 631^2: 2.45 s) and
+# 15 us for D = 100000001 (h = 720), so about 2.4 s at the bound
+# (2-vCPU x86 host, Python 3.11)
+_TABLE_MAX = 2 * 10**5
+
 
 def divisor_pairs(m: int) -> list[tuple[int, int]]:
     """All (a, c) with a*c = m, ordered by |a| ascending, positive a first.
@@ -492,9 +524,15 @@ def special_classes(D: int) -> list[SpecialClass]:
 
 def special_square(a: int, c: int) -> FormClass:
     """[a x^2 + x y + c y^2]^2 = [a^2 x^2 + (1 - 2ac) x y + c^2 y^2]."""
-    if 1 - 4 * a * c == 0:
+    D = 1 - 4 * a * c
+    if D == 0:
         raise ZeroDiscriminant("1 - 4ac must be nonzero")
-    return form_class(a * a, 1 - 2 * a * c, c * c)
+    return FormClass(Form(*_special_square(a, c, D)), D)
+
+
+def _special_square(a: int, c: int, D: int) -> tuple[int, int, int]:
+    # the canonical coefficients of special_square(a, c), D = 1 - 4ac != 0
+    return _canonical(a * a, 1 - 2 * a * c, c * c, D)
 
 
 def _require_one_mod_4(D: int) -> None:
@@ -502,11 +540,34 @@ def _require_one_mod_4(D: int) -> None:
         raise NotOneMod4(f"{D} is not a nonzero integer = 1 mod 4")
 
 
-def s_plus_subgroup(D: int) -> list[FormClass]:
-    """The subgroup of the class group generated by all special squares."""
+def _half_special_squares(D: int) -> list[tuple[int, int, int]]:
+    """T': the distinct special squares of D other than the identity, one
+    of each inverse pair {t, bar(t)}, as sorted canonical triples.
+
+    The witnesses (a, c) and (c, a) give inverse squares, so only those
+    with |a| <= |c| are squared; a square is kept unless its inverse
+    already is.  The special squares are then {1} + T' + bar(T').
+    """
     _require_one_mod_4(D)
-    generators = {special_square(s.a, s.c).coeffs() for s in special_classes(D)}
-    subgroup = {identity_class(D).coeffs()}
+    squares = {_special_square(a, c, D) for a, c in divisor_pairs((1 - D) // 4)
+               if a * a <= abs(a * c)}
+    squares.discard(_identity(D))
+    half = set()
+    for a, b, c in sorted(squares):
+        if _canonical(a, -b, c, D) not in half:
+            half.add((a, b, c))
+    return sorted(half)
+
+
+def s_plus_subgroup(D: int) -> list[FormClass]:
+    """The subgroup of the class group generated by all special squares.
+
+    A finite group is generated by T' (``_half_special_squares``) as by
+    all of them: the identity adds nothing, and an inverse is a power.
+    """
+    _require_one_mod_4(D)
+    generators = _half_special_squares(D)
+    subgroup = {_identity(D)}
     frontier = list(subgroup)
     while frontier:
         nxt = []

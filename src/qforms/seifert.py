@@ -6,10 +6,12 @@ D = 1 mod 4 (the knot-determinant convention).  A pair of classes
 class t = [a x^2 + x y + c y^2] with 1 - 4ac = D satisfies
 t^2 * s1 = s2, where (a, c) runs over the divisor pairs of (1 - D)/4.
 So the partners of s1 form the coset s1 * T, T the set of special
-squares t^2: pairs are enumerated by composing each class with T once,
-not by testing pair by pair.  A single pair query returns the first
-witness (a, c) in a fixed order (|a| ascending, positive before
-negative).
+squares t^2.  T holds the identity (witness (1, m)) and is closed under
+inversion ((a, c) and (c, a) give inverse squares), so the pairs are
+enumerated with h * |T'| compositions, T' being T without the identity
+and with one of each inverse pair, not by testing pair by pair.  A
+single pair query returns the first witness (a, c) in a fixed order
+(|a| ascending, positive before negative).
 
 A realizable pair is *B^4-distinguishable* iff s1 is neither s2 nor
 bar(s2): the double branched covers of the pushed-in surfaces then have
@@ -19,20 +21,27 @@ non-isometric intersection forms.
 from __future__ import annotations
 
 from math import isqrt
+from typing import TYPE_CHECKING
 
 from .compose import (
     class_compose,
-    class_group,
     divisor_pairs,
     identity_class,
     phi_n,
     special_square,
+    _check_discriminant,
+    _class_triples,
     _compose_reduced,
+    _half_special_squares,
+    _identity,
     _require_one_mod_4,
+    _special_square,
 )
 from .errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, OutOfRange, TooLarge
 from .forms import Form, FormClass, Mat2, _canonical, _ext_gcd
-from .lattice import KleinPair, is_symplectic, klein_inverse, q_of_plane, symplectic_complement
+
+if TYPE_CHECKING:  # lattice is imported where it is used, not at start-up
+    from .lattice import KleinPair
 
 Witness = tuple[int, int]
 
@@ -56,9 +65,9 @@ def realizable_disjoint_pair(s1: FormClass, s2: FormClass) -> tuple[bool, Witnes
 
 def nonisotopic_exists(D: int) -> tuple[bool, Witness | None]:
     """Is some special square non-trivial (equivalently, S+_D non-trivial)?"""
-    ident = identity_class(D)
+    ident = _identity(D)
     for a, c in _special_witnesses(D):
-        if special_square(a, c) != ident:
+        if _special_square(a, c, D) != ident:
             return True, (a, c)
     return False, None
 
@@ -67,12 +76,13 @@ def prescribed_form_exists(D: int) -> tuple[bool, Witness | None]:
     """Does some special class have non-trivial fourth power?
 
     When it does, one of the two disjoint surfaces can be prescribed an
-    arbitrary Seifert form of discriminant D.
+    arbitrary Seifert form of discriminant D.  The square t^2 is primitive,
+    so t^4 != 1 exactly when t^2 != bar(t^2): one reduction, no composition.
     """
-    ident = identity_class(D)
+    _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
     for a, c in _special_witnesses(D):
-        t2 = special_square(a, c)
-        if class_compose(t2, t2) != ident:
+        a2, b2, c2 = _special_square(a, c, D)
+        if _canonical(a2, -b2, c2, D) != (a2, b2, c2):
             return True, (a, c)
     return False, None
 
@@ -165,35 +175,31 @@ def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> li
     classes m * (class of disc D/m^2) for m >= 2 join the list.  Output
     is sorted by the canonical representatives of the pair.
 
-    The partners of s1 are the coset s1 * T of the distinct special
-    squares T, so the cost is ``class_group`` (once per stratum) plus
-    h * |T| compositions, h the length of the class list.  No composition
-    table is built and nothing is read from or written to disk.
+    The partners of s1 are the coset s1 * T of the special squares T.
+    T holds the identity and is closed under inversion, and s2 = t^-1 * s1
+    exactly when s1 = t * s2, so the pairs are the diagonal and
+    {s1, t * s1} for t in T' (T without the identity, one of each inverse
+    pair).  The cost is the class enumeration (once per stratum) plus
+    h * |T'| compositions, h the length of the class list; no composition
+    table and no FormClass is built.
     """
     _require_one_mod_4(D)
-    classes = [s.coeffs() for s in class_group(D).elements]
+    classes, _ = _class_triples(D)
     if include_nonprimitive:
         m = 3
         while m * m <= abs(D):
             if D % (m * m) == 0 and (D // (m * m)) % 4 == 1:
-                for s in class_group(D // (m * m)).elements:  # m times canonical is canonical
-                    a, b, c = s.coeffs()
-                    classes.append((m * a, m * b, m * c))
+                # m times a canonical triple is canonical
+                classes += [(m * a, m * b, m * c) for a, b, c in _class_triples(D // (m * m))[0]]
             m += 2
-        classes.sort()
-    squares = {special_square(a, c).coeffs() for a, c in _special_witnesses(D)}
-    index = {t: i for i, t in enumerate(classes)}
-    out = []
-    for i, t1 in enumerate(classes):
-        for t2 in {_compose_reduced(t, t1, D) for t in squares}:
-            if index.get(t2, -1) >= i:
-                out.append({
-                    "s1": list(t1),
-                    "s2": list(t2),
-                    "b4_distinguishable": _b4_distinguishable(t1, t2, D),
-                })
-    out.sort(key=lambda d: (d["s1"], d["s2"]))
-    return out
+    squares = _half_special_squares(D)
+    pairs = {(t1, t1) for t1 in classes}
+    for t1 in classes:
+        for t in squares:
+            t2 = _compose_reduced(t, t1, D)
+            pairs.add((t1, t2) if t1 < t2 else (t2, t1))
+    return [{"s1": list(t1), "s2": list(t2), "b4_distinguishable": _b4_distinguishable(t1, t2, D)}
+            for t1, t2 in sorted(pairs)]
 
 
 def feher_klein_pair(p: int, q: int, k: int, n: int) -> tuple[KleinPair, Form, Form]:
@@ -208,6 +214,8 @@ def feher_klein_pair(p: int, q: int, k: int, n: int) -> tuple[KleinPair, Form, F
     [q_Lpperp] = [pq, 2kp-1-2qr, rs-2kr+n], where ps - qr = 1.  Both
     identities are checked against the plane computation before returning.
     """
+    from .lattice import KleinPair, is_symplectic, klein_inverse, q_of_plane, symplectic_complement
+
     if p <= 1 or q <= 1:
         raise OutOfRange("p and q must both exceed 1")
     if n < 1:

@@ -1,4 +1,5 @@
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -301,3 +302,28 @@ class TestCache:
             code, out, _ = run_cli(capsys, "classgroup", "-23", "--cache-dir", str(tmp_path))
             assert code == 0 and out == GOLDEN["classgroup -23"]["text"]
         assert [p.name for p in tmp_path.iterdir()] == ["classgroup_-23.json"]
+
+
+class TestBudgetsAndStartup:
+    def test_table_budget(self, capsys):
+        # -100000007 passes the class_group budget with h = 14,506 classes,
+        # whose table would take 1.05 * 10^8 compositions
+        def expire(signum, frame):
+            raise TimeoutError("classgroup -100000007 ran over 10 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            code, out, _ = run_cli(capsys, "classgroup", "--json", "--", "-100000007")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1 and json.loads(out)["error"] == "too-large"
+
+    def test_start_up_imports_no_unused_module(self):
+        # lattice, cube and seifert are imported by the commands that use them
+        script = ("import sys, qforms.cli; loaded = sorted(sys.modules); import qforms.seifert; "
+                  "print(*[m for m in ('qforms.cube', 'qforms.lattice', 'qforms.seifert') "
+                  "if m in loaded], 'qforms.lattice' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert out.returncode == 0 and out.stdout == "False\n"
