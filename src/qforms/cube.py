@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .compose import class_bar, class_compose
+from .compose import _compose_reduced
 from .errors import (
     MismatchedDiscriminant,
     NoCoprimePair,
@@ -30,7 +30,7 @@ from .errors import (
     ZeroDiscriminant,
     ZeroForm,
 )
-from .forms import GEN_S, Form, FormClass, Mat2, act, content, discriminant
+from .forms import GEN_S, Form, Mat2, _canonical, act, content, discriminant
 from .lattice import KleinPair, gross, klein_inverse
 
 
@@ -89,7 +89,8 @@ def cube_law_check(cube: Cube) -> bool:
     """Verify [q_j] * [q_k] = bar[q_i] for every coprime-content pair (j, k).
 
     Raises when no pair of the three slicing forms has coprime contents,
-    or when the common discriminant vanishes.
+    or when the common discriminant vanishes.  Each slicing is reduced once
+    to its canonical triple, and the pairs compose on those triples.
     """
     q1, q2, q3 = slicings(cube)
     d = discriminant(q1)
@@ -97,17 +98,14 @@ def cube_law_check(cube: Cube) -> bool:
         raise ZeroDiscriminant("cube slicings have discriminant 0")
     if not (discriminant(q2) == discriminant(q3) == d):
         raise MismatchedDiscriminant("slicing discriminants disagree")
-    triples = [(q1, q2, q3), (q2, q3, q1), (q3, q1, q2)]
-    checked = False
-    ok = True
-    for out, left, right in triples:
-        if gcd(content(left), content(right)) == 1:
-            checked = True
-            composed = class_compose(FormClass.of(left), FormClass.of(right))
-            ok = ok and composed == class_bar(FormClass.of(out))
-    if not checked:
+    qs = (q1, q2, q3)
+    pairs = [(i, j, k) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+             if gcd(content(qs[j]), content(qs[k])) == 1]
+    if not pairs:
         raise NoCoprimePair("no two slicing forms have coprime contents")
-    return ok
+    t = [_canonical(q.a, q.b, q.c, d) for q in qs]
+    return all(_compose_reduced(t[j], t[k], d) == _canonical(t[i][0], -t[i][1], t[i][2], d)
+               for i, j, k in pairs)
 
 
 def cube_from_forms(q1: Form, q2: Form) -> Cube:

@@ -18,16 +18,33 @@ basis ordering) maps to its pair of Klein vectors
     a1 = 2 v1 bar(v2) - tr(v1 bar(v2)) I,
     a2 = 2 bar(v2) v1 - tr(bar(v2) v1) I,
 
-two Gross vectors of determinant -disc(q_L).  The inverse sends a pair
-(a1, a2) of equal nonzero determinant to the solution lattice of
-a1 x = x a2, computed by an exact integer kernel; its orientation is the
-one carried by (a1 g, g) for g in the plane with det(g) > 0, or by
-(g, a1 g) when only det(g) < 0 is available.
+two Gross vectors of determinant -disc(q_L).  Both are linear in the six
+Plucker coordinates P_st = x_s y_t - x_t y_s (s < t) of an oriented
+basis (x, y), taken in the coordinates of B:
 
-The kernel, and the canonical basis of a plane, come from a row Hermite
-normal form that clears each entry below a pivot with a single 2x2
-extended-gcd step on the pair (pivot row, that row), so a column costs
-one gcd per row and not one row update per Euclid quotient.
+    a1 = [[P01 - P23, -2 P03], [2 P12, P23 - P01]],
+    a2 = [[P01 + P23, -2 P13], [2 P02, -P01 - P23]].
+
+The inverse is linear too.  The pair a_i = [[p_i, q_i], [r_i, -p_i]] has
+
+    (P01, P02, P03, P12, P13, P23)
+        = ((p1 + p2)/2, r2/2, -q1/2, r1/2, -q2/2, (p2 - p1)/2),
+
+integral for Gross vectors of equal determinant.  Equal determinants are
+exactly the Plucker relation P01 P23 - P02 P13 + P03 P12 = 0, and
+pair-primitivity makes P primitive, so P is the 2-vector of one oriented
+plane: the solution lattice of a1 x = x a2.
+
+``_plane_from_plucker`` turns a primitive decomposable P into the
+canonical basis of its plane with no matrix reduction.  Row s of the
+antisymmetric matrix of P is x_s y - y_s x, a vector of the plane.  In
+the Hermite basis (h1, h2) oriented like P, with h1's pivot in column j,
+row j is h1_j h2: h2 is row j over the gcd of its entries, sign
+included.  Row s carries h1 with coefficient -h2_s, so one extended-gcd
+combination of the rows s > j gives h1 up to a multiple of h2, which the
+reduction at h2's pivot fixes.  ``Plane.from_basis`` takes the Plucker
+coordinates of its basis, which its summand check needs anyway, and
+``Plane.contains`` tests x ^ P = 0.
 """
 
 from __future__ import annotations
@@ -94,73 +111,48 @@ def pair_primitive(a1: Mat2, a2: Mat2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact integer linear algebra (row HNF with transformation)
-
-
-def _row_hnf(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
-    """(H, U, det_U) with U unimodular, U @ mat = H in row Hermite form.
-
-    Each column is cleared below its pivot row r by one extended-gcd step
-    per nonzero row i: with g = gcd(h_rj, h_ij), a = h_rj / g, b = h_ij / g
-    and any x, y with x a + y b = 1 (x = a^-1 mod |b|), the pair
-    (row r, row i) becomes (x row r + y row i, a row i - b row r), a 2x2
-    step of determinant 1.  Pivots are positive, entries above a pivot
-    are reduced into [0, pivot); zero rows sink to the bottom.  det_U is
-    +-1.
-    """
-    h = [row[:] for row in mat]
-    m = len(h)
-    n = len(h[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    det_u = 1
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        i0 = next((i for i in range(r, m) if h[i][j] != 0), None)
-        if i0 is None:
-            continue
-        if i0 != r:
-            h[r], h[i0] = h[i0], h[r]
-            u[r], u[i0] = u[i0], u[r]
-            det_u = -det_u
-        for i in range(r + 1, m):
-            if h[i][j] != 0:
-                g = gcd(h[r][j], h[i][j])
-                a, b = h[r][j] // g, h[i][j] // g
-                x = pow(a, -1, abs(b))  # 0 when b = +-1
-                y = (1 - x * a) // b
-                hr, hi, ur, ui = h[r], h[i], u[r], u[i]
-                h[r] = [x * s + y * t for s, t in zip(hr, hi)]
-                h[i] = [a * t - b * s for s, t in zip(hr, hi)]
-                u[r] = [x * s + y * t for s, t in zip(ur, ui)]
-                u[i] = [a * t - b * s for s, t in zip(ur, ui)]
-        if h[r][j] < 0:
-            h[r] = [-v for v in h[r]]
-            u[r] = [-v for v in u[r]]
-            det_u = -det_u
-        for i in range(r):
-            q = h[i][j] // h[r][j]
-            if q:
-                h[i] = [h[i][k] - q * h[r][k] for k in range(n)]
-                u[i] = [u[i][k] - q * u[r][k] for k in range(m)]
-        r += 1
-    return h, u, det_u
-
-
-def _kernel_basis(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {v : M v = 0} of the matrix M.
-
-    M is given by its rows.  A kernel is automatically saturated, so the
-    result spans a direct summand.
-    """
-    transposed = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-    h, u, _ = _row_hnf(transposed)
-    return [u[i] for i in range(len(h)) if all(v == 0 for v in h[i])]
-
-
-# ---------------------------------------------------------------------------
 # Planes
+
+
+def _plucker(v1: Mat2, v2: Mat2) -> tuple[int, int, int, int, int, int]:
+    # (P01, P02, P03, P12, P13, P23), the 2x2 minors of the coordinates
+    x0, x1, x2, x3 = v1.coords()
+    y0, y1, y2, y3 = v2.coords()
+    return (x0 * y1 - x1 * y0, x0 * y2 - x2 * y0, x0 * y3 - x3 * y0,
+            x1 * y2 - x2 * y1, x1 * y3 - x3 * y1, x2 * y3 - x3 * y2)
+
+
+def _plane_from_plucker(p01: int, p02: int, p03: int, p12: int, p13: int, p23: int) -> "Plane":
+    """The canonical Plane whose oriented basis has these Plucker
+    coordinates, which must be primitive and satisfy the Plucker relation.
+    """
+    rows = ((0, p01, p02, p03), (-p01, 0, p12, p13), (-p02, -p12, 0, p23), (-p03, -p13, -p23, 0))
+    j = 0 if p01 or p02 or p03 else 1 if p12 or p13 else 2
+    d = gcd(*rows[j])
+    h2 = [v // d for v in rows[j]]
+    # sum c_s row_s over s > j has h1-coefficient -sum c_s h2_s; g tracks
+    # that sum and acc the combination, until g = +-1
+    g, acc, pivot = 0, None, None
+    for s in range(j + 1, 4):
+        w = h2[s]
+        if w == 0:
+            continue
+        if acc is None:
+            g, acc, pivot = w, rows[s], s
+        else:
+            g1 = gcd(g, w)
+            a, b = g // g1, w // g1
+            x = pow(a, -1, abs(b))  # 0 when b = +-1
+            y = (1 - x * a) // b
+            g, acc = g1, [x * u + y * v for u, v in zip(acc, rows[s])]
+        if g in (1, -1):
+            break
+    h1 = [-g * v for v in acc]
+    m = abs(h2[pivot])
+    q = (h1[pivot] - h1[pivot] % m) // h2[pivot]
+    if q:
+        h1 = [u - q * v for u, v in zip(h1, h2)]
+    return Plane(Mat2.from_coords(*h1), Mat2.from_coords(*h2))
 
 
 @dataclass(frozen=True)
@@ -177,24 +169,13 @@ class Plane:
 
     @staticmethod
     def from_basis(v1: Mat2, v2: Mat2) -> "Plane":
-        rows = [list(v1.coords()), list(v2.coords())]
-        minors = []
-        for j in range(4):
-            for k in range(j + 1, 4):
-                minors.append(rows[0][j] * rows[1][k] - rows[0][k] * rows[1][j])
-        g = 0
-        for v in minors:
-            g = gcd(g, v)
+        plucker = _plucker(v1, v2)
+        g = gcd(*plucker)
         if g == 0:
             raise NotASummand("basis vectors are linearly dependent")
         if g != 1:
             raise NotASummand("basis does not span a direct summand of Z^4")
-        h, _, det_u = _row_hnf(rows)
-        b1 = Mat2.from_coords(*h[0])
-        b2 = Mat2.from_coords(*h[1])
-        if det_u < 0:
-            b2 = -b2
-        return Plane(b1, b2)
+        return _plane_from_plucker(*plucker)
 
     def basis(self) -> tuple[Mat2, Mat2]:
         return (self.v1, self.v2)
@@ -204,9 +185,11 @@ class Plane:
         return Plane.from_basis(self.v2, self.v1)
 
     def contains(self, x: Mat2) -> bool:
-        rows = [list(self.v1.coords()), list(self.v2.coords()), list(x.coords())]
-        h, _, _ = _row_hnf(rows)
-        return all(v == 0 for v in h[2])
+        """x ^ P = 0: a direct summand holds every integer vector of its span."""
+        p01, p02, p03, p12, p13, p23 = _plucker(self.v1, self.v2)
+        x0, x1, x2, x3 = x.coords()
+        return (x0 * p12 - x1 * p02 + x2 * p01 == 0 and x0 * p13 - x1 * p03 + x3 * p01 == 0
+                and x0 * p23 - x2 * p03 + x3 * p02 == 0 and x1 * p23 - x2 * p13 + x3 * p12 == 0)
 
 
 @dataclass(frozen=True)
@@ -224,14 +207,14 @@ def q_of_plane(plane: Plane) -> Form:
 
 
 def klein_map(plane: Plane) -> KleinPair:
-    """Phi: the Klein vectors of an oriented plane with disc(q_L) != 0."""
-    if discriminant(q_of_plane(plane)) == 0:
+    """Phi: the Klein vectors of an oriented plane with disc(q_L) != 0,
+    from its Plucker coordinates; det(a1) = -disc(q_L)."""
+    p01, p02, p03, p12, p13, p23 = _plucker(plane.v1, plane.v2)
+    a1 = Mat2(p01 - p23, -2 * p03, 2 * p12, p23 - p01)
+    if a1.det() == 0:
+        q_of_plane(plane)  # raises ZeroForm first on a plane with q_L = 0
         raise ZeroDiscriminant("Klein vectors require disc(q_L) != 0")
-    v1, v2 = plane.basis()
-    t = (v1 @ v2.bar()).trace()
-    a1 = (v1 @ v2.bar()).scale(2) - Mat2.identity().scale(t)
-    a2 = (v2.bar() @ v1).scale(2) - Mat2.identity().scale(t)
-    return KleinPair(a1, a2)
+    return KleinPair(a1, Mat2(p01 + p23, -2 * p13, 2 * p02, -p01 - p23))
 
 
 def _validate_pair(p: KleinPair) -> None:
@@ -246,55 +229,16 @@ def _validate_pair(p: KleinPair) -> None:
         raise NotPairPrimitive("a common prime divides both Klein vectors")
 
 
-def _map_matrix(a1: Mat2, a2: Mat2) -> list[list[int]]:
-    """The matrix of x -> a1 x - x a2 on Z^4, for traceless a1 and a2.
-
-    Row i holds the i-th coordinate of the image as a function of the
-    coordinates (m11, m22, -m21, m12) of x.
-    """
-    (p1, q1), (r1, _) = a1.rows()
-    (p2, q2), (r2, _) = a2.rows()
-    return [[p1 - p2, 0, -q1, -r2],
-            [0, p2 - p1, q2, r1],
-            [-r1, r2, -p1 - p2, 0],
-            [-q2, q1, 0, p1 + p2]]
-
-
 def klein_inverse(p: KleinPair) -> Plane:
-    """Psi: the oriented solution plane of a1 x = x a2.
-
-    The kernel of x -> a1 x - x a2 is computed exactly; being a kernel it
-    is a direct summand.  The orientation follows the (a1 g, g) rule.
-    """
+    """Psi: the oriented solution plane of a1 x = x a2, from the Plucker
+    coordinates that the pair determines linearly."""
     _validate_pair(p)
-    kern = _kernel_basis(_map_matrix(p.a1, p.a2))
-    if len(kern) != 2:
-        raise ZeroDeterminant(f"solution lattice has rank {len(kern)}, expected 2")
-    w1 = Mat2.from_coords(*kern[0])
-    w2 = Mat2.from_coords(*kern[1])
-    g = next(c for c in (w1, w2, w1 + w2) if c.det() != 0)
-    ref = (p.a1 @ g, g) if g.det() > 0 else (g, p.a1 @ g)
-    sign = _orientation_sign((w1, w2), ref)
-    if sign < 0:
-        w2 = -w2
-    return Plane.from_basis(w1, w2)
-
-
-def _orientation_sign(basis: tuple[Mat2, Mat2], ref: tuple[Mat2, Mat2]) -> int:
-    # ref = C @ basis over Q; every 2x2 minor of the coordinate matrices
-    # scales by det(C), so one nonzero minor pair gives the sign.
-    wrows = [basis[0].coords(), basis[1].coords()]
-    rrows = [ref[0].coords(), ref[1].coords()]
-    for j in range(4):
-        for k in range(j + 1, 4):
-            mw = wrows[0][j] * wrows[1][k] - wrows[0][k] * wrows[1][j]
-            if mw != 0:
-                mr = rrows[0][j] * rrows[1][k] - rrows[0][k] * rrows[1][j]
-                if mr == 0:  # ref spans the same plane with det(C) != 0
-                    raise AssertionError(f"{ref} does not span the plane of {basis}")
-                s = (mr > 0) - (mr < 0)
-                return s * ((mw > 0) - (mw < 0))
-    raise ZeroDeterminant("degenerate basis")
+    (p1, q1), (r1, _) = p.a1.rows()
+    (p2, q2), (r2, _) = p.a2.rows()
+    plucker = ((p1 + p2) // 2, r2 // 2, -q1 // 2, r1 // 2, -q2 // 2, (p2 - p1) // 2)
+    if gcd(*plucker) != 1:  # P divides p1, p2, q1/2, ..., so pair-primitivity forbids it
+        raise AssertionError(f"Plucker coordinates {plucker} of {p} are not primitive")
+    return _plane_from_plucker(*plucker)
 
 
 def transform_plane(plane: Plane, g1: Mat2, g2: Mat2) -> Plane:
@@ -346,8 +290,7 @@ def verify_composition_identity(p: KleinPair) -> tuple[FormClass, FormClass, boo
     Returns both classes and a flag that also requires
     content(q_L) == content(a1) * content(a2).
     """
-    _validate_pair(p)
-    plane = klein_inverse(p)
+    plane = klein_inverse(p)  # validates the pair first
     ql = q_of_plane(plane)
     via_plane = FormClass.of(ql)
     q1, q2 = form_of(p.a1), form_of(p.a2)

@@ -1,0 +1,101 @@
+"""The Klein correspondence by integer kernels and Hermite forms.
+
+This is how ``qforms.lattice`` computed planes before it read them off
+the Plucker coordinates.  ``klein_inverse`` finds the solution lattice of
+a1 x = x a2 as the integer kernel of the 4x4 map x -> a1 x - x a2, and
+orients it by (a1 g, g) for a g in the plane with det(g) > 0, or by
+(g, a1 g) when only det(g) < 0 is available.  A plane is stored by the
+row Hermite basis of its two vectors with the sign of the transform
+folded into the second one.  The tests hold the closed forms against it,
+error codes included.
+"""
+
+from math import gcd
+
+from hnf_oracle import kernel_basis, row_hnf_xgcd
+from qforms.errors import NotASummand, ZeroDeterminant, ZeroDiscriminant
+from qforms.forms import Mat2, discriminant
+from qforms.lattice import KleinPair, Plane, _validate_pair, q_of_plane
+
+
+def plane_from_basis(v1, v2):
+    """The canonical Plane of the oriented basis (v1, v2)."""
+    rows = [list(v1.coords()), list(v2.coords())]
+    g = 0
+    for j in range(4):
+        for k in range(j + 1, 4):
+            g = gcd(g, rows[0][j] * rows[1][k] - rows[0][k] * rows[1][j])
+    if g == 0:
+        raise NotASummand("basis vectors are linearly dependent")
+    if g != 1:
+        raise NotASummand("basis does not span a direct summand of Z^4")
+    h, _, det_u = row_hnf_xgcd(rows)
+    b1 = Mat2.from_coords(*h[0])
+    b2 = Mat2.from_coords(*h[1])
+    return Plane(b1, -b2 if det_u < 0 else b2)
+
+
+def contains(plane, x):
+    """x lies in the plane: the third row of the Hermite form of (v1, v2, x) is zero."""
+    rows = [list(plane.v1.coords()), list(plane.v2.coords()), list(x.coords())]
+    h, _, _ = row_hnf_xgcd(rows)
+    return all(v == 0 for v in h[2])
+
+
+def klein_map(plane):
+    """The Klein vectors as matrix products of the stored basis."""
+    if discriminant(q_of_plane(plane)) == 0:
+        raise ZeroDiscriminant("Klein vectors require disc(q_L) != 0")
+    v1, v2 = plane.basis()
+    t = (v1 @ v2.bar()).trace()
+    a1 = (v1 @ v2.bar()).scale(2) - Mat2.identity().scale(t)
+    a2 = (v2.bar() @ v1).scale(2) - Mat2.identity().scale(t)
+    return KleinPair(a1, a2)
+
+
+def map_matrix(a1, a2):
+    """The matrix of x -> a1 x - x a2 on Z^4, for traceless a1 and a2.
+
+    Row i holds the i-th coordinate of the image as a function of the
+    coordinates (m11, m22, -m21, m12) of x.
+    """
+    (p1, q1), (r1, _) = a1.rows()
+    (p2, q2), (r2, _) = a2.rows()
+    return [[p1 - p2, 0, -q1, -r2],
+            [0, p2 - p1, q2, r1],
+            [-r1, r2, -p1 - p2, 0],
+            [-q2, q1, 0, p1 + p2]]
+
+
+def orientation_sign(basis, ref):
+    """+1 when ref = C @ basis over Q with det(C) > 0, else -1.
+
+    Every 2x2 minor of the coordinate matrices scales by det(C), so one
+    nonzero minor pair gives the sign.
+    """
+    wrows = [basis[0].coords(), basis[1].coords()]
+    rrows = [ref[0].coords(), ref[1].coords()]
+    for j in range(4):
+        for k in range(j + 1, 4):
+            mw = wrows[0][j] * wrows[1][k] - wrows[0][k] * wrows[1][j]
+            if mw != 0:
+                mr = rrows[0][j] * rrows[1][k] - rrows[0][k] * rrows[1][j]
+                if mr == 0:
+                    raise AssertionError(f"{ref} does not span the plane of {basis}")
+                return ((mr > 0) - (mr < 0)) * ((mw > 0) - (mw < 0))
+    raise ZeroDeterminant("degenerate basis")
+
+
+def klein_inverse(p):
+    """The oriented solution plane of a1 x = x a2, by an exact kernel."""
+    _validate_pair(p)
+    kern = kernel_basis(map_matrix(p.a1, p.a2), hnf=row_hnf_xgcd)
+    if len(kern) != 2:
+        raise ZeroDeterminant(f"solution lattice has rank {len(kern)}, expected 2")
+    w1 = Mat2.from_coords(*kern[0])
+    w2 = Mat2.from_coords(*kern[1])
+    g = next(c for c in (w1, w2, w1 + w2) if c.det() != 0)
+    ref = (p.a1 @ g, g) if g.det() > 0 else (g, p.a1 @ g)
+    if orientation_sign((w1, w2), ref) < 0:
+        w2 = -w2
+    return plane_from_basis(w1, w2)

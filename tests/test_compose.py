@@ -1,3 +1,4 @@
+import signal
 import time
 from math import gcd, isqrt
 
@@ -411,6 +412,25 @@ class TestSPlusSubgroup:
                 assert class_bar(x) in sub
                 for y in sub:
                     assert class_compose(x, y) in sub
+
+
+class TestSPlusSubgroupBudget:
+    # m = (1 - D)/4 = 10^13 passes the divisor_pairs bound, and the closure
+    # of its 97 generators did not finish in 40 s before it had a budget
+
+    def test_fails_fast(self):
+        def expire(signum, frame):
+            raise TimeoutError("s_plus_subgroup(-39999999999999) ran over 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        try:
+            with pytest.raises(TooLarge) as exc:
+                s_plus_subgroup(-39999999999999)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert exc.value.code == "too-large"
 
 
 class TestSquareDiscriminant:

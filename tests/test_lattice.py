@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hnf_oracle
+import klein_oracle
 from conftest import large_sl2_matrices, random_form, random_klein_pair, random_sl2, same_disc_pairs
 from qforms.compose import class_compose, dirichlet_compose
 from qforms.errors import (
+    DomainError,
     MismatchedDeterminant,
     NotASummand,
     NotGross,
@@ -41,7 +43,7 @@ from qforms.lattice import (
     verify_composition_identity,
 )
 
-from qforms.lattice import _kernel_basis, _map_matrix, _row_hnf
+from hnf_oracle import kernel_basis, row_hnf_xgcd
 
 # the worked plane of discriminant -23: span(I, [[1, -6], [1, 0]])
 PLANE_23 = Plane.from_basis(Mat2.identity(), Mat2(1, -6, 1, 0))
@@ -59,7 +61,7 @@ class TestIntegerLinearAlgebra:
             m = rng.randint(1, 4)
             n = rng.randint(1, 5)
             mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-            h, u, det_u = _row_hnf(mat)
+            h, u, det_u = row_hnf_xgcd(mat)
             assert matmul(u, mat) == h
             assert det_u in (1, -1)
             if m == 2:
@@ -68,7 +70,7 @@ class TestIntegerLinearAlgebra:
     def test_hnf_shape(self, rng):
         for _ in range(100):
             mat = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
-            h, _, _ = _row_hnf(mat)
+            h, _, _ = row_hnf_xgcd(mat)
             pivots = []
             for row in h:
                 nz = [j for j, v in enumerate(row) if v]
@@ -88,17 +90,17 @@ class TestIntegerLinearAlgebra:
             (p, q), (r, s) = g.rows()
             mixed = [[p * mat[0][j] + q * mat[1][j] for j in range(4)],
                      [r * mat[0][j] + s * mat[1][j] for j in range(4)]]
-            assert _row_hnf(mat)[0] == _row_hnf(mixed)[0]
+            assert row_hnf_xgcd(mat)[0] == row_hnf_xgcd(mixed)[0]
 
     def test_kernel(self, rng):
         for _ in range(100):
             mat = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-            kern = _kernel_basis(mat)
+            kern = kernel_basis(mat, hnf=row_hnf_xgcd)
             for v in kern:
                 assert all(sum(mat[i][j] * v[j] for j in range(4)) == 0
                            for i in range(4))
             # rank-nullity against a rational rank computation
-            h, _, _ = _row_hnf(mat)
+            h, _, _ = row_hnf_xgcd(mat)
             rank = sum(1 for row in h if any(row))
             assert len(kern) == 4 - rank
 
@@ -458,7 +460,7 @@ class TestHnfAgainstOracle:
     @PROPERTY
     @given(mat=integer_matrices())
     def test_row_hnf(self, mat):
-        h, u, det_u = _row_hnf(mat)
+        h, u, det_u = row_hnf_xgcd(mat)
         oracle_h, oracle_u, oracle_det_u = hnf_oracle.row_hnf(mat)
         assert h == oracle_h
         assert matmul(u, mat) == h
@@ -471,13 +473,13 @@ class TestHnfAgainstOracle:
     @PROPERTY
     @given(mat=integer_matrices())
     def test_kernel_spans_oracle_kernel(self, mat):
-        kern = _kernel_basis(mat)
+        kern = kernel_basis(mat, hnf=row_hnf_xgcd)
         expect = hnf_oracle.kernel_basis(mat)
         assert len(kern) == len(expect)
         for v in kern:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in mat)
         if kern:
-            assert _row_hnf(kern)[0] == _row_hnf(expect)[0]
+            assert row_hnf_xgcd(kern)[0] == row_hnf_xgcd(expect)[0]
 
     def test_map_matrix_matches_mat2_products(self, rng):
         units = [Mat2.from_coords(*(1 if i == j else 0 for j in range(4))) for i in range(4)]
@@ -486,7 +488,7 @@ class TestHnfAgainstOracle:
             a1, a2 = Mat2(p1, q1, r1, -p1), Mat2(p2, q2, r2, -p2)
             images = [(a1 @ e - e @ a2).coords() for e in units]
             # column i of the matrix is the image of the i-th basis vector
-            assert _map_matrix(a1, a2) == [[images[i][j] for i in range(4)] for j in range(4)]
+            assert klein_oracle.map_matrix(a1, a2) == [[images[i][j] for i in range(4)] for j in range(4)]
 
 
 def scramble(rng, f, digits):
@@ -541,3 +543,117 @@ class TestKleinLargeCoefficients:
         planes = [klein_inverse(p) for p in pairs]
         assert time.perf_counter() - t0 < 0.2
         assert all(klein_map(plane) == p for plane, p in zip(planes, pairs))
+
+
+def outcome(fn, *args):
+    """("ok", value) or ("err", the DomainError code)."""
+    try:
+        return ("ok", fn(*args))
+    except DomainError as exc:
+        return ("err", exc.code)
+
+
+HUGE = 10**40
+huge_ints = st.one_of(st.integers(-9, 9), st.integers(-HUGE, HUGE))
+
+
+@st.composite
+def huge_klein_pairs(draw):
+    """Gross pairs with coefficients up to about 10^40: valid pairs moved by
+    SL2(Z) elements with entries near 10^20, their multiples (not
+    pair-primitive), zero-determinant pairs, random Gross matrices (whose
+    determinants mostly differ) and matrices just off the Gross lattice."""
+    kind = draw(st.sampled_from(("valid", "multiple", "zero-det", "random", "not-gross")))
+    if kind in ("random", "not-gross"):
+        p1, q1, r1, p2, q2, r2 = (draw(huge_ints) for _ in range(6))
+        pair = KleinPair(Mat2(p1, 2 * q1, 2 * r1, -p1), Mat2(p2, 2 * q2, 2 * r2, -p2))
+        if kind == "not-gross":  # an odd off-diagonal entry or a nonzero trace
+            odd = draw(st.sampled_from((Mat2(0, 1, 0, 0), Mat2(0, 0, 1, 0), Mat2(0, 0, 0, 1))))
+            pair = KleinPair(pair.a1 + odd, pair.a2) if draw(st.booleans()) else KleinPair(pair.a1, pair.a2 + odd)
+        return pair
+    if kind == "zero-det":
+        x, y = draw(st.integers(-50, 50)), draw(st.integers(1, 50))
+        f1 = f2 = Form(x * x, 2 * x * y, y * y)  # discriminant 0
+    else:
+        f1, f2 = draw(same_disc_pairs(1000))
+    g1, g2 = draw(large_sl2_matrices(10**10)), draw(large_sl2_matrices(10**10))
+    pair = KleinPair(gross(act(g1, f1)), gross(act(g2, f2)))
+    if kind == "multiple":
+        k = draw(st.sampled_from((2, 3, -6)))
+        pair = KleinPair(pair.a1.scale(k), pair.a2.scale(k))
+    return pair
+
+
+@st.composite
+def huge_bases(draw):
+    """Bases with entries up to about 10^40: random pairs of vectors, dependent
+    pairs and non-summands; and unimodular mixes of the basis of a plane
+    moved by SL2(Z) x SL2(Z), from a Klein plane, a plane with
+    q_L = x^2 + 2xy + y^2 (discriminant 0) or one with q_L = 0."""
+    kind = draw(st.sampled_from(("random", "dependent", "scaled", "klein", "plane")))
+    if kind in ("klein", "plane"):
+        if kind == "klein":
+            f1, f2 = draw(same_disc_pairs(1000))
+            plane = klein_inverse(KleinPair(gross(f1), gross(f2)))
+        else:
+            plane = draw(st.sampled_from((Plane.from_basis(Mat2.identity(), Mat2(1, 1, 0, 1)),
+                                          Plane.from_basis(Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0)))))
+        plane = transform_plane(plane, draw(large_sl2_matrices(10**5)), draw(large_sl2_matrices(10**5)))
+        (a, b), (c, d) = draw(large_sl2_matrices(10**10)).rows()
+        return plane.v1.scale(a) + plane.v2.scale(b), plane.v1.scale(c) + plane.v2.scale(d)
+    v1 = Mat2(*(draw(huge_ints) for _ in range(4)))
+    v2 = Mat2(*(draw(huge_ints) for _ in range(4)))
+    if kind == "dependent":
+        v2 = v1.scale(draw(st.integers(-3, 3)))
+    elif kind == "scaled":
+        v2 = v2.scale(draw(st.sampled_from((2, 5))))
+    return v1, v2
+
+
+class TestClosedFormAgainstKernelOracle:
+    """The Plucker closed forms against the kernel-and-orientation code of
+    klein_oracle.py, error codes included, at coefficients up to 10^40."""
+
+    @PROPERTY
+    @given(pair=huge_klein_pairs())
+    def test_klein_inverse(self, pair):
+        got = outcome(klein_inverse, pair)
+        assert got == outcome(klein_oracle.klein_inverse, pair)
+        if got[0] == "ok":
+            assert klein_map(got[1]) == pair
+
+    @PROPERTY
+    @given(basis=huge_bases())
+    def test_from_basis_and_klein_map(self, basis):
+        got = outcome(Plane.from_basis, *basis)
+        assert got == outcome(klein_oracle.plane_from_basis, *basis)
+        if got[0] == "ok":
+            plane = got[1]
+            assert outcome(klein_map, plane) == outcome(klein_oracle.klein_map, plane)
+
+    @PROPERTY
+    @given(basis=huge_bases(), k1=huge_ints, k2=huge_ints, x=st.tuples(*[huge_ints] * 4))
+    def test_contains(self, basis, k1, k2, x):
+        plane = outcome(Plane.from_basis, *basis)[1]
+        if isinstance(plane, str):  # not a summand
+            return
+        inside = plane.v1.scale(k1) + plane.v2.scale(k2)
+        for v in (inside, inside + Mat2(*x), Mat2(*x), inside.scale(3)):
+            assert plane.contains(v) == klein_oracle.contains(plane, v)
+        assert plane.contains(inside)
+
+    def test_contains_on_coordinate_planes(self):
+        # each of the four 3x3 minors of x ^ P is the only nonzero one for
+        # some coordinate plane and unit vector
+        units = [Mat2.from_coords(*(1 if i == j else 0 for j in range(4))) for i in range(4)]
+        for s in range(4):
+            for t in range(4):
+                if s != t:
+                    plane = Plane.from_basis(units[s], units[t])
+                    for x in units + [units[0] + units[3], units[1] - units[2]]:
+                        assert plane.contains(x) == klein_oracle.contains(plane, x)
+
+    def test_isotropic_plane_keeps_zero_form(self):
+        # q_L = 0 on span(b1, b4): klein_map reports the zero form first
+        plane = Plane.from_basis(Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0))
+        assert outcome(klein_map, plane) == outcome(klein_oracle.klein_map, plane) == ("err", "zero-form")
