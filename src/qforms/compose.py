@@ -33,13 +33,18 @@ for D = N^2.  For D < 0 only b = D (mod 2) occurs, so b runs over
 signs of b; the forms found are reduced already, so they and their
 negatives become classes with no further reduction, as do the canonical
 triples (a, N, 0), 0 < a < N coprime to N, of D = N^2.  For positive
-non-square D the reduced forms are listed from the exact window on |a|
-for each b, and each cycle is walked once by ``forms._walk``, which
-returns its least form (the class representative) and lists its
-members; all of them are marked with that representative, so R reduced
-forms cost O(R) steps, not one cycle walk each.  ``class_group`` raises
-TooLarge before an enumeration longer than ``_CLASS_GROUP_SCAN_MAX``
-steps.
+non-square D, every cycle holds a reduced form (+-a, b, +-c) with
+5a^2 <= D (Markov's bound on the least value of a form, see
+``_indefinite_classes``), so only those forms are listed: for each such a
+the square roots of D mod 4a, built from a least-prime-factor sieve by
+Tonelli-Shanks, Hensel lifting and CRT (Cohen, section 1.5), each give
+one b in the reduced window.  That is O(sqrt(D)) root steps, where a
+scan over (b, |a|) took O(D).  The cycle of each listed form is walked
+once by ``forms._walk``, which returns its least form (the class
+representative) and lists its members; all of them are marked with that
+representative, so R reduced forms cost O(R) steps, not one cycle walk
+each.  ``class_group`` raises TooLarge before an enumeration longer than
+``_CLASS_GROUP_SCAN_MAX`` steps.
 
 ``_class_triples`` is the enumeration on canonical coefficient triples;
 ``class_group`` wraps its result in ``FormClass`` objects.  The loops
@@ -369,20 +374,111 @@ def _reduced_definite(D: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _reduced_indefinite(D: int, sq: int) -> list[tuple[int, int, int]]:
-    # all reduced primitive forms: 0 < b < sqrt(D), sqrt(D)-b < 2|a| < sqrt(D)+b;
-    # with sqrt(D) irrational the window on |a| is exactly
-    # ceil((sq+1-b)/2) <= |a| <= floor((sq+b)/2), sq = isqrt(D)
+def _sqrt_mod_prime(n: int, p: int) -> int:
+    # a square root of the quadratic residue n mod the odd prime p (Tonelli-Shanks)
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    s, q = 0, p - 1
+    while q % 2 == 0:
+        s, q = s + 1, q // 2
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        e = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, e * e % p, t * e * e % p, r * e % p
+    return r
+
+
+def _prime_power_roots(D: int, p: int, top: int) -> dict[int, list[int]]:
+    """For each power q = p^k <= top of the prime p, the x mod q with
+    x^2 = D (mod q).
+
+    The roots mod p are D mod 2 for p = 2, 0 for p | D, and +-r from
+    Tonelli-Shanks otherwise.  A root r mod q lifts to mod pq by Hensel's
+    step when p does not divide 2r; when it does, (r + tq)^2 = r^2 mod pq
+    for every t, so all p lifts are roots or none is.
+    """
+    if p == 2 or D % p == 0:
+        roots = [D % p]
+    elif pow(D, (p - 1) // 2, p) == 1:
+        r = _sqrt_mod_prime(D % p, p)
+        roots = [r, p - r]
+    else:
+        roots = []
+    out = {p: roots}
+    q = p
+    while p * q <= top:
+        lifted = []
+        for r in roots:
+            if p != 2 and r % p:
+                lifted.append((r - (r * r - D) * pow(2 * r, -1, p * q)) % (p * q))
+            elif (r * r - D) % (p * q) == 0:
+                lifted.extend(range(r, p * q, q))
+        q *= p
+        out[q] = roots = lifted
+    return out
+
+
+def _markov_forms(D: int, sq: int) -> list[tuple[int, int, int]]:
+    """The reduced primitive forms (+-a, b, +-c) of D > 0 non-square with
+    a > 0 and 5a^2 <= D, from the square roots of D mod 4a.
+
+    Write a = t m with t a power of 2 and m odd.  The roots of D mod m are
+    combined by CRT along m = p^k n (p the least prime factor of m, from a
+    sieve) from the roots mod p^k and those mod n; the x mod 2a with
+    x^2 = D (mod 4a) then combine them with the roots mod 4t, taken mod 2t.
+    Since 2a < sqrt(D), each such x gives exactly one reduced form: b is x
+    moved into the window (sq - 2a, sq], and c = (b^2 - D) / 4a.
+    """
+    top = isqrt(D // 5)
+    spf = list(range(top + 1))
+    for p in range(3, isqrt(top) + 1, 2):
+        if spf[p] == p:
+            for m in range(p * p, top + 1, 2 * p):
+                if spf[m] == m:
+                    spf[m] = p
+    two = _prime_power_roots(D, 2, 4 * top)
+    twos = []  # (t, the x mod 2t with x^2 = D mod 4t) for t = 1, 2, 4, ... <= top
+    t = 1
+    while t <= top:
+        twos.append((t, [x for x in two[4 * t] if x < 2 * t]))
+        t *= 2
+    local = {}
+    odd = {1: [0]}  # odd[m]: the x mod m with x^2 = D (mod m)
     out = []
-    for b in range(2 - D % 2, sq + 1, 2):
-        prod = (b * b - D) // 4  # == a*c < 0
-        for aa in range((sq + 2 - b) // 2, (sq + b) // 2 + 1):
-            if prod % aa:
+    for m in range(1, top + 1, 2):
+        if m > 1:
+            p = q = spf[m]
+            n = m // p
+            while n % p == 0:
+                q, n = q * p, n // p
+            if m == p:
+                local.update(_prime_power_roots(D, p, top))
+            rs1, rs2 = local[q], odd[n]
+            if not (rs1 and rs2):
+                odd[m] = []
                 continue
-            c = prod // aa
-            if gcd(gcd(aa, b), c) == 1:
-                out.append((aa, b, c))
-                out.append((-aa, b, -c))
+            u = pow(q, -1, n)
+            odd[m] = [x + q * ((y - x) * u % n) for x in rs1 for y in rs2]
+        rs = odd[m]
+        half = u = (m + 1) // 2  # the inverse of 2, then of 2t, mod m
+        for t, rs2 in twos:
+            a = t * m
+            if a > top:
+                break
+            for x in rs2:
+                for y in rs:
+                    b = sq - (sq - x - 2 * t * ((y - x) * u % m)) % (2 * a)
+                    c = (b * b - D) // (4 * a)
+                    if gcd(a, b, c) == 1:
+                        out.append((a, b, c))
+                        out.append((-a, b, -c))
+            u = u * half % m
     return out
 
 
@@ -390,13 +486,17 @@ def _indefinite_classes(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, 
     """The canonical triples of the classes of D > 0 non-square and the
     identity's among them.
 
-    Each reduced cycle is walked once: its members are marked and its least
-    form is the class representative, so R reduced forms cost O(R) steps.
+    Every cycle holds a form of ``_markov_forms``: by Markov's theorem each
+    form takes a primitive value v with |v| <= sqrt(D/5) < sqrt(D)/2, and a
+    form (v, b, c) moved into the window sqrt(D) - 2|v| < b < sqrt(D) is
+    reduced.  The cycle of each such form is walked once, unless an
+    earlier walk marked it: its members are marked and its least form is
+    the class representative, so R reduced forms cost O(R) steps.
     """
     sq = isqrt(D)
     rep_of = {}
     classes = []
-    for f in _reduced_indefinite(D, sq):
+    for f in _markov_forms(D, sq):
         if f not in rep_of:
             cycle = []
             rep = _walk(*f, D, sq, members=cycle)
@@ -437,9 +537,10 @@ def _class_triples(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, int, 
 def class_group(D: int) -> OrientedClassGroup:
     """The oriented class group of discriminant D (complete, with identity).
 
-    The enumeration takes about |D|/12 b-tests for D < 0, D/8 for positive
-    non-square D and N residues of 150 steps each for D = N^2; TooLarge is
-    raised before it starts when that exceeds _CLASS_GROUP_SCAN_MAX steps.
+    The enumeration is counted as about |D|/12 b-tests for D < 0, D/8
+    steps for positive non-square D (see _CLASS_GROUP_SCAN_MAX) and N
+    residues of 150 steps each for D = N^2; TooLarge is raised before it
+    starts when that exceeds _CLASS_GROUP_SCAN_MAX steps.
     """
     triples, identity = _class_triples(D)
     return OrientedClassGroup(D, [FormClass(Form(*t), D) for t in triples], triples.index(identity))
@@ -471,8 +572,12 @@ class SpecialClass:
 _DIVISOR_PAIRS_MAX = 10**14
 
 # class_group refuses a discriminant whose enumeration takes more steps
-# than this, a step being one b-test of the definite or indefinite scan
-# (about 0.12 us; about 2.4 s at the bound, D = -2.4 * 10^8 and 1.6 * 10^8).
+# than this, a step being one b-test of the definite scan (about 0.12 us;
+# about 2.4 s at the bound, D = -2.4 * 10^8).  Positive non-square D
+# count D/8 steps, so D > 1.6 * 10^8 is refused, although listing the
+# forms with 5a^2 <= D from square roots mod 4a and walking one cycle each
+# takes at most 0.15 s for the 200 D just below that bound (0.03 s at
+# D = 100000001, h = 720); each walk is also bounded by forms._WALK_MAX.
 # A residue of the square scan becomes a class with no reduction (about
 # 3 us), but each class holds about 300 bytes until the call returns, so a
 # residue counts as 150 steps: that bounds the peak memory, not the time.

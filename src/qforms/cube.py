@@ -53,13 +53,10 @@ class Cube:
         return Cube.from_entry_fn(lambda i, j, k: (rows_m if i == 0 else rows_n)[j][k])
 
     def slicing_pairs(self) -> tuple[tuple[Mat2, Mat2], ...]:
-        e = self.entry
-        s1 = (Mat2(e(0, 0, 0), e(0, 0, 1), e(0, 1, 0), e(0, 1, 1)),
-              Mat2(e(1, 0, 0), e(1, 0, 1), e(1, 1, 0), e(1, 1, 1)))
-        s2 = (Mat2(e(0, 0, 0), e(0, 1, 0), e(1, 0, 0), e(1, 1, 0)),
-              Mat2(e(0, 0, 1), e(0, 1, 1), e(1, 0, 1), e(1, 1, 1)))
-        s3 = (Mat2(e(0, 0, 0), e(1, 0, 0), e(0, 0, 1), e(1, 0, 1)),
-              Mat2(e(0, 1, 0), e(1, 1, 0), e(0, 1, 1), e(1, 1, 1)))
+        e000, e001, e010, e011, e100, e101, e110, e111 = self.entries
+        s1 = (Mat2(e000, e001, e010, e011), Mat2(e100, e101, e110, e111))
+        s2 = (Mat2(e000, e010, e100, e110), Mat2(e001, e011, e101, e111))
+        s3 = (Mat2(e000, e100, e001, e101), Mat2(e010, e110, e011, e111))
         return (s1, s2, s3)
 
     def to_dict(self) -> dict:
@@ -70,19 +67,21 @@ class Cube:
         return Cube(tuple(int(v) for v in doc["entries"]))
 
 
-def _slice_form(m: Mat2, n: Mat2) -> Form:
-    # -det(xM - yN) = -det(M) x^2 + tr(M adj(N)) xy - det(N) y^2
-    a = -m.det()
-    b = (m @ n.bar()).trace()
-    c = -n.det()
-    if (a, b, c) == (0, 0, 0):
-        raise ZeroForm("degenerate cube: a slicing vanishes identically")
-    return Form(a, b, c)
-
-
 def slicings(cube: Cube) -> tuple[Form, Form, Form]:
-    """The three forms q_i = -det(x M_i - y N_i); equal discriminants."""
-    return tuple(_slice_form(m, n) for m, n in cube.slicing_pairs())
+    """The three forms q_i = -det(x M_i - y N_i); equal discriminants.
+
+    For each slicing pair (M, N), -det(xM - yN) = -det(M) x^2
+    + tr(M adj(N)) xy - det(N) y^2, written out in the eight entries.
+    """
+    e0, e1, e2, e3, e4, e5, e6, e7 = cube.entries
+    forms = []
+    for a, b, c in ((e1 * e2 - e0 * e3, e0 * e7 + e3 * e4 - e1 * e6 - e2 * e5, e5 * e6 - e4 * e7),
+                    (e2 * e4 - e0 * e6, e0 * e7 + e1 * e6 - e2 * e5 - e3 * e4, e3 * e5 - e1 * e7),
+                    (e1 * e4 - e0 * e5, e0 * e7 + e2 * e5 - e1 * e6 - e3 * e4, e3 * e6 - e2 * e7)):
+        if a == b == c == 0:
+            raise ZeroForm("degenerate cube: a slicing vanishes identically")
+        forms.append(Form(a, b, c))
+    return tuple(forms)
 
 
 def cube_law_check(cube: Cube) -> bool:

@@ -19,13 +19,15 @@ Canonical representatives per discriminant regime:
 * D > 0 not a square: the lexicographically least form on the cycle of
   reduced forms (0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b).
   ``_walk`` is the one function that steps a reduced cycle, in one flat
-  loop: the sign of a alternates along the cycle, so after at most one
-  step to reach a < 0 each pass takes the step from a < 0 and then the
-  one from a > 0, compares only the a < 0 form with the running minimum
-  and tests for the return to the start once.  ``canonical`` takes the
-  minimum it returns, ``is_equivalent`` stops it when it meets the
-  partner form (also before its first step), and ``compose.class_group``
-  has it list each cycle once to mark all of its members.
+  loop on the magnitudes (2|a|, b, 2|c|), all below 2 sqrt(D): the sign
+  of a alternates along the cycle, so after at most one step to reach
+  a < 0 each pass takes the step from a < 0 and then the one from a > 0,
+  compares only the a < 0 form with the running minimum and tests for
+  the return to the start once.  It raises TooLarge past ``_WALK_MAX``
+  passes.  ``canonical`` takes the minimum it returns, ``is_equivalent``
+  stops it when it meets the partner form (also before its first step),
+  and ``compose.class_group`` has it list each cycle once to mark all of
+  its members.
 * D = N^2 > 0: content * (a'*x^2 + N'*x*y) where N' = N/content and
   0 <= a' < N' is the normal-form residue of the primitive part.
 """
@@ -35,7 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import NotPrimitive, NotSquareDiscriminant, NotUnimodular, ZeroDiscriminant, ZeroForm
+from .errors import (
+    NotPrimitive,
+    NotSquareDiscriminant,
+    NotUnimodular,
+    TooLarge,
+    ZeroDiscriminant,
+    ZeroForm,
+)
 
 
 @dataclass(frozen=True)
@@ -227,49 +236,74 @@ def _reduce_indefinite(a: int, b: int, c: int, D: int, sq: int) -> tuple[int, in
     return a, b, c
 
 
+# _walk raises TooLarge past this many passes (two neighbor steps each, so
+# 4 * 10^6 forms).  A pass takes about 0.45 us while the values fit one
+# machine digit (D below about 2.9 * 10^17) and 0.9 us at D = 10^20, so the
+# bound is 0.9-2 s.  The longest cycle of the benchmark pool has 485,404
+# forms (D = 584637511777, 0.11 s); class_group accepts D up to 1.6 * 10^8,
+# and the longest principal cycle of the 2,000 discriminants just below
+# that has 45,398 forms (2-vCPU x86 host, Python 3.11)
+_WALK_MAX = 2 * 10**6
+
+
 def _walk(a: int, b: int, c: int, D: int, sq: int, stop=(0, 0, 0), members=None):
     """Walk the cycle of the reduced form (a, b, c) once (D > 0 non-square,
     sq = isqrt(D)) and return its least form, or None as soon as the walk
     meets the form ``stop``; the default, the zero form, is on no cycle.
     Given a list ``members``, it appends each form of the cycle once, in
-    cycle order, from the first form with a < 0.
+    cycle order, from the first form with a < 0.  TooLarge is raised past
+    ``_WALK_MAX`` passes.
 
     This is the one place where a reduced cycle is stepped.  A reduced form
     has |c| < sqrt(D), so the neighbor step (a, b, c) -> (c, r, .) takes
     r = -b mod 2|c| in the window (sqrt(D) - 2|c|, sqrt(D)].  On a reduced
-    cycle a and c have opposite signs, so the sign of a alternates: after
-    one step from a > 0, each loop takes the step from a < 0 (modulus 2c)
-    and then the one from a > 0 (modulus -2c).  The least form has a < 0,
-    so only that half is compared with the running minimum, and the test
-    for the return to the start runs once per loop.
+    cycle a and c have opposite signs, so the sign of a alternates, and the
+    walk steps on the magnitudes (U, b, V) = (2|a|, b, 2|c|): with
+    q = (sq + b) // V and r = qV - b, the next triple is (V, r, U + q(b - r)),
+    since D - b^2 = UV on either half of the cycle.  Every value stays below
+    2 sqrt(D), with no product of the size of D and no division by 4c.
+    After one step from a > 0, each pass takes the step from a < 0 and
+    then the one from a > 0.  The least form has a < 0, so only that half
+    is compared with the running minimum (the largest U, then the least b),
+    and the test for the return to the start runs once per pass.
     """
     sa, sb, _ = stop
     if a == sa and b == sb:  # (a, b) determine c
         return None
+    pos_stop = 2 * sa  # the stop form has U = 2 sa if sa > 0, U = -2 sa if sa < 0
+    neg_stop = -pos_stop
     if a > 0:
-        r = sq - (sq + b) % (-2 * c)
-        a, b, c = c, r, (r * r - D) // (4 * c)
-    a0, b0 = a, b
-    best_a, best_b, best_c = a, b, c
-    while True:
+        U, V = 2 * a, -2 * c
+        q = (sq + b) // V
+        r = q * V - b
+        U, b, V = V, r, U + q * (b - r)
+    else:
+        U, V = -2 * a, 2 * c
+    U0, b0 = U, b
+    best_U, best_b, best_V = U, b, V
+    for _ in range(_WALK_MAX):
         # a < 0 < c
-        if a == sa and b == sb:
+        if U == neg_stop and b == sb:
             return None
         if members is not None:
-            members.append((a, b, c))
-        r = sq - (sq + b) % (2 * c)
-        a, b, c = c, r, (r * r - D) // (4 * c)
+            members.append((-U >> 1, b, V >> 1))
+        q = (sq + b) // V
+        r = q * V - b
+        U, b, V = V, r, U + q * (b - r)
         # a > 0 > c
-        if a == sa and b == sb:
+        if U == pos_stop and b == sb:
             return None
         if members is not None:
-            members.append((a, b, c))
-        r = sq - (sq + b) % (-2 * c)
-        a, b, c = c, r, (r * r - D) // (4 * c)
-        if b == b0 and a == a0:
-            return best_a, best_b, best_c
-        if a <= best_a and (a < best_a or b < best_b):
-            best_a, best_b, best_c = a, b, c
+            members.append((U >> 1, b, -V >> 1))
+        q = (sq + b) // V
+        r = q * V - b
+        U, b, V = V, r, U + q * (b - r)
+        if b == b0 and U == U0:
+            return -best_U >> 1, best_b, best_V >> 1
+        if U >= best_U and (U > best_U or b < best_b):
+            best_U, best_b, best_V = U, b, V
+    raise TooLarge(f"cycles are walked only up to {_WALK_MAX} passes of two steps, "
+                   f"a cycle of D = {D} is longer")
 
 
 # ---------------------------------------------------------------------------

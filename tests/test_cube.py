@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import forms_of_disc, large_sl2_matrices, random_form, random_sl2, same_disc_pairs
 
@@ -156,3 +156,19 @@ class TestCubeLargeCoefficients:
         _, s2, s3 = slicings(box)
         assert (s3, s2) == (q1, q2)
         assert cube_law_check(box)
+
+
+class TestSlicingsFromEntries:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(entries=st.tuples(*[st.integers(-2, 2) | st.integers(-10**20, 10**20)] * 8))
+    def test_forms_of_the_slicing_pairs(self, entries):
+        # the closed form in the eight entries is -det(xM - yN) of each pair
+        # (M, N), -det(M) x^2 + tr(M adj(N)) xy - det(N) y^2, and the
+        # degenerate cubes raise ZeroForm
+        box = Cube(entries)
+        expected = [(-m.det(), (m @ n.bar()).trace(), -n.det()) for m, n in box.slicing_pairs()]
+        if (0, 0, 0) in expected:
+            with pytest.raises(ZeroForm):
+                slicings(box)
+        else:
+            assert slicings(box) == tuple(Form(*t) for t in expected)
