@@ -15,6 +15,10 @@ slicing pair is an oriented basis (v1, v2) of a plane with Klein vectors
     q1 = -bar(q_L),  q2 = -S.q_{a2},  q3 = q_{a1}      (S = [[0,-1],[1,0]])
 
 verified symbolically; with it, [q1]*[q2]*[q3] = 1 whenever defined.
+
+``cube_from_forms(q1, q2)`` slices the plane of the pair (A(q1), -A(S.q2)),
+whose Plucker coordinates (P01, P02, P03, P12, P13, P23) are, for
+q_i = (a_i, b_i, c_i), ((b1 + b2)/2, a2, -a1, -c1, c2, (b2 - b1)/2).
 """
 
 from __future__ import annotations
@@ -23,34 +27,28 @@ from dataclasses import dataclass
 from math import gcd
 
 from .compose import _compose_reduced
-from .errors import (
-    MismatchedDiscriminant,
-    NoCoprimePair,
-    OutOfRange,
-    ZeroDiscriminant,
-    ZeroForm,
-)
-from .forms import GEN_S, Form, Mat2, _canonical, act, content, discriminant
-from .lattice import KleinPair, gross, klein_inverse
+from .errors import MismatchedDiscriminant, NoCoprimePair, NotPairPrimitive, OutOfRange, ZeroDiscriminant, ZeroForm
+from .forms import Form, Mat2, _canonical, content, discriminant
+from .lattice import _plane_from_plucker
 
 
 @dataclass(frozen=True)
 class Cube:
-    """Eight integers indexed by (i, j, k); entry(i, j, k) = e[4i + 2j + k]."""
+    """Eight integers indexed by (i, j, k); e(i, j, k) = entries[4i + 2j + k].
+
+    Raises OutOfRange unless ``entries`` is a tuple of eight ints.
+    """
 
     entries: tuple[int, int, int, int, int, int, int, int]
 
-    def entry(self, i: int, j: int, k: int) -> int:
-        return self.entries[4 * i + 2 * j + k]
-
-    @staticmethod
-    def from_entry_fn(fn) -> "Cube":
-        return Cube(tuple(fn(i, j, k) for i in range(2) for j in range(2) for k in range(2)))
+    def __post_init__(self) -> None:
+        e = self.entries
+        if type(e) is not tuple or len(e) != 8 or not all(type(v) is int for v in e):
+            raise OutOfRange(f"a cube holds a tuple of eight ints, not {e!r}")
 
     @staticmethod
     def from_layers(m1: Mat2, n1: Mat2) -> "Cube":
-        rows_m, rows_n = m1.rows(), n1.rows()
-        return Cube.from_entry_fn(lambda i, j, k: (rows_m if i == 0 else rows_n)[j][k])
+        return Cube((m1.m11, m1.m12, m1.m21, m1.m22, n1.m11, n1.m12, n1.m21, n1.m22))
 
     def slicing_pairs(self) -> tuple[tuple[Mat2, Mat2], ...]:
         e000, e001, e010, e011, e100, e101, e110, e111 = self.entries
@@ -64,7 +62,7 @@ class Cube:
 
     @staticmethod
     def from_dict(doc: dict) -> "Cube":
-        return Cube(tuple(int(v) for v in doc["entries"]))
+        return Cube(tuple(doc["entries"]))
 
 
 def slicings(cube: Cube) -> tuple[Form, Form, Form]:
@@ -110,8 +108,9 @@ def cube_law_check(cube: Cube) -> bool:
 def cube_from_forms(q1: Form, q2: Form) -> Cube:
     """A cube realizing [q1] and [q2] among its slicings.
 
-    Built from the plane of the Klein pair (A(q1), -A(S.q2)); the third
-    slicing then composes with them to the identity by the cube law.
+    Its first slicing pair is the plane of the Klein pair (A(q1), -A(S.q2)),
+    read off P as in the module docstring; the third slicing form is q1,
+    the second q2, and the first composes with them to the identity.
     Requires equal nonzero discriminants and coprime contents.
     """
     d1, d2 = discriminant(q1), discriminant(q2)
@@ -119,16 +118,15 @@ def cube_from_forms(q1: Form, q2: Form) -> Cube:
         raise ZeroDiscriminant("cube construction requires nonzero discriminants")
     if d1 != d2:
         raise MismatchedDiscriminant(f"{d1} != {d2}")
-    a1 = gross(q1)
-    a2 = -gross(act(GEN_S, q2))
-    plane = klein_inverse(KleinPair(a1, a2))  # raises NotPairPrimitive if needed
-    v1, v2 = plane.basis()
-    return Cube.from_layers(v1, v2)
+    if gcd(content(q1), content(q2)) != 1:
+        raise NotPairPrimitive("a common prime divides the contents of q1 and q2")
+    plane = _plane_from_plucker((q1.b + q2.b) // 2, q2.a, -q1.a, -q1.c, q2.c, (q2.b - q1.b) // 2)
+    return Cube.from_layers(plane.v1, plane.v2)
 
 
 def reflect(cube: Cube) -> Cube:
     """Reflection through the center; all three slicing classes get barred."""
-    return Cube.from_entry_fn(lambda i, j, k: cube.entry(1 - i, 1 - j, 1 - k))
+    return Cube(cube.entries[::-1])
 
 
 def negate_layer(cube: Cube, axis: int, side: int) -> Cube:
@@ -139,8 +137,6 @@ def negate_layer(cube: Cube, axis: int, side: int) -> Cube:
     """
     if axis not in (1, 2, 3) or side not in (0, 1):
         raise OutOfRange("axis must be 1..3 and side 0..1")
-    coord = {1: lambda i, j, k: i, 2: lambda i, j, k: k, 3: lambda i, j, k: j}[axis]
-    return Cube.from_entry_fn(
-        lambda i, j, k: -cube.entry(i, j, k) if coord(i, j, k) == side else cube.entry(i, j, k)
-    )
+    bit = (4, 1, 2)[axis - 1]  # the index bit of i, k or j in 4i + 2j + k
+    return Cube(tuple(-e if bool(n & bit) == side else e for n, e in enumerate(cube.entries)))
 

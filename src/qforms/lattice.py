@@ -35,6 +35,11 @@ exactly the Plucker relation P01 P23 - P02 P13 + P03 P12 = 0, and
 pair-primitivity makes P primitive, so P is the 2-vector of one oriented
 plane: the solution lattice of a1 x = x a2.
 
+Both complements permute P with signs.  Negating a1 swaps P01 and P23
+and negates P03 and P12, so L^perp = L_{-a1,a2} has P = (P23, P02, -P03,
+-P12, P13, P01), and a symplectic plane (a2.m11 = P01 + P23 = 1) has
+L^pperp = (P23, -P02, -P03, -P12, -P13, P01).
+
 ``_plane_from_plucker`` turns a primitive decomposable P into the
 canonical basis of its plane with no matrix reduction.  Row s of the
 antisymmetric matrix of P is x_s y - y_s x, a vector of the plane.  In
@@ -53,16 +58,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import compose
-from .errors import (
-    MismatchedDeterminant,
-    NotASummand,
-    NotGross,
-    NotPairPrimitive,
-    NotSymplectic,
-    ZeroDeterminant,
-    ZeroDiscriminant,
-)
-from .forms import Form, FormClass, Mat2, bar as form_bar, content, discriminant, _require_sl2
+from .errors import (MismatchedDeterminant, NotASummand, NotGross, NotPairPrimitive, NotSymplectic,
+                     ZeroDeterminant, ZeroDiscriminant)
+from .forms import Form, FormClass, Mat2, bar as form_bar, content, _require_sl2
 
 
 MAT_J = Mat2(1, 0, 0, -1)
@@ -181,8 +179,8 @@ class Plane:
         return (self.v1, self.v2)
 
     def opposite(self) -> "Plane":
-        """The same plane with reversed orientation."""
-        return Plane.from_basis(self.v2, self.v1)
+        """The same plane with reversed orientation: the plane of -P."""
+        return _plane_from_plucker(*(-p for p in _plucker(self.v1, self.v2)))
 
     def contains(self, x: Mat2) -> bool:
         """x ^ P = 0: a direct summand holds every integer vector of its span."""
@@ -206,15 +204,21 @@ def q_of_plane(plane: Plane) -> Form:
     return Form(v1.det(), (v1 @ v2.bar()).trace(), v2.det())
 
 
+def _nondegenerate_plucker(plane: Plane) -> tuple[int, int, int, int, int, int]:
+    """The Plucker coordinates of a plane with disc(q_L) = -det(a1) != 0."""
+    p01, p02, p03, p12, p13, p23 = p = _plucker(plane.v1, plane.v2)
+    if 4 * p03 * p12 == (p01 - p23) ** 2:
+        q_of_plane(plane)  # raises ZeroForm first on a plane with q_L = 0
+        raise ZeroDiscriminant("Klein vectors require disc(q_L) != 0")
+    return p
+
+
 def klein_map(plane: Plane) -> KleinPair:
     """Phi: the Klein vectors of an oriented plane with disc(q_L) != 0,
     from its Plucker coordinates; det(a1) = -disc(q_L)."""
-    p01, p02, p03, p12, p13, p23 = _plucker(plane.v1, plane.v2)
-    a1 = Mat2(p01 - p23, -2 * p03, 2 * p12, p23 - p01)
-    if a1.det() == 0:
-        q_of_plane(plane)  # raises ZeroForm first on a plane with q_L = 0
-        raise ZeroDiscriminant("Klein vectors require disc(q_L) != 0")
-    return KleinPair(a1, Mat2(p01 + p23, -2 * p13, 2 * p02, -p01 - p23))
+    p01, p02, p03, p12, p13, p23 = _nondegenerate_plucker(plane)
+    return KleinPair(Mat2(p01 - p23, -2 * p03, 2 * p12, p23 - p01),
+                     Mat2(p01 + p23, -2 * p13, 2 * p02, -p01 - p23))
 
 
 def _validate_pair(p: KleinPair) -> None:
@@ -225,7 +229,7 @@ def _validate_pair(p: KleinPair) -> None:
         raise MismatchedDeterminant(f"det(a1) = {d1} != {d2} = det(a2)")
     if d1 == 0:
         raise ZeroDeterminant("Klein vectors must have nonzero determinant")
-    if not pair_primitive(p.a1, p.a2):
+    if gcd(gross_content(p.a1), gross_content(p.a2)) != 1:
         raise NotPairPrimitive("a common prime divides both Klein vectors")
 
 
@@ -255,14 +259,14 @@ def transform_plane(plane: Plane, g1: Mat2, g2: Mat2) -> Plane:
 
 def orth_complement(plane: Plane) -> Plane:
     """L^perp, oriented by (L_{a1,a2})^perp = L_{-a1,a2}."""
-    p = klein_map(plane)
-    return klein_inverse(KleinPair(-p.a1, p.a2))
+    p01, p02, p03, p12, p13, p23 = _nondegenerate_plucker(plane)
+    return _plane_from_plucker(p23, p02, -p03, -p12, p13, p01)
 
 
 def is_symplectic(plane: Plane) -> bool:
     """True iff a2(L) has diagonal (1, -1), iff theta(v1, v2) = 1."""
-    p = klein_map(plane)
-    return p.a2.m11 == 1
+    p01, _, _, _, _, p23 = _nondegenerate_plucker(plane)
+    return p01 + p23 == 1
 
 
 def symplectic_basis(plane: Plane) -> tuple[Mat2, Mat2]:
@@ -277,11 +281,10 @@ def symplectic_basis(plane: Plane) -> tuple[Mat2, Mat2]:
 
 def symplectic_complement(plane: Plane) -> Plane:
     """L^pperp via Phi(L^pperp) = (-a1, [[1, -alpha], [-gamma, -1]])."""
-    p = klein_map(plane)
-    if p.a2.m11 != 1:
+    p01, p02, p03, p12, p13, p23 = _nondegenerate_plucker(plane)
+    if p01 + p23 != 1:
         raise NotSymplectic("symplectic complement requires a symplectic plane")
-    flipped = Mat2(1, -p.a2.m12, -p.a2.m21, -1)
-    return klein_inverse(KleinPair(-p.a1, flipped))
+    return _plane_from_plucker(p23, -p02, -p03, -p12, -p13, p01)
 
 
 def verify_composition_identity(p: KleinPair) -> tuple[FormClass, FormClass, bool]:

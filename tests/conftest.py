@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, strategies as st
 
+from qforms.errors import DomainError
 from qforms.forms import GEN_S, GEN_T, GEN_T_INV, Form, Mat2, _extend_unimodular, content, discriminant
 from qforms.lattice import KleinPair, gross
 
@@ -96,3 +97,11 @@ def forms_of_disc(d, bound):
             if (b * b - d) % (4 * a) == 0:
                 out.append(Form(a, b, (b * b - d) // (4 * a)))
     return out
+
+
+def outcome(fn, *args):
+    """("ok", value) or ("err", the DomainError code)."""
+    try:
+        return ("ok", fn(*args))
+    except DomainError as exc:
+        return ("err", exc.code)

@@ -8,14 +8,29 @@ orients it by (a1 g, g) for a g in the plane with det(g) > 0, or by
 row Hermite basis of its two vectors with the sign of the transform
 folded into the second one.  The tests hold the closed forms against it,
 error codes included.
+
+The second half keeps the round trips through a Klein pair that the
+complements, the cube recipe and the cube symmetries took before they
+were read off the Plucker coordinates: Phi of the plane, a change of
+the pair, and Psi back (``lattice.klein_map`` and ``lattice.klein_inverse``,
+with full pair validation); and the cube maps written entry by entry.
 """
 
 from math import gcd
 
 from hnf_oracle import kernel_basis, row_hnf_xgcd
-from qforms.errors import NotASummand, ZeroDeterminant, ZeroDiscriminant
-from qforms.forms import Mat2, discriminant
-from qforms.lattice import KleinPair, Plane, _validate_pair, q_of_plane
+from qforms import lattice
+from qforms.cube import Cube
+from qforms.errors import (
+    MismatchedDiscriminant,
+    NotASummand,
+    NotSymplectic,
+    OutOfRange,
+    ZeroDeterminant,
+    ZeroDiscriminant,
+)
+from qforms.forms import GEN_S, Mat2, act, discriminant
+from qforms.lattice import KleinPair, Plane, _validate_pair, gross, q_of_plane
 
 
 def plane_from_basis(v1, v2):
@@ -99,3 +114,63 @@ def klein_inverse(p):
     if orientation_sign((w1, w2), ref) < 0:
         w2 = -w2
     return plane_from_basis(w1, w2)
+
+
+# ---------------------------------------------------------------------------
+# Round trips through the Klein pair
+
+
+def orth_complement(plane):
+    """L^perp as L_{-a1,a2}."""
+    p = lattice.klein_map(plane)
+    return lattice.klein_inverse(KleinPair(-p.a1, p.a2))
+
+
+def is_symplectic(plane):
+    """a2(L) has diagonal (1, -1)."""
+    return lattice.klein_map(plane).a2.m11 == 1
+
+
+def symplectic_complement(plane):
+    """L^pperp as L_{-a1,[[1,-alpha],[-gamma,-1]]}."""
+    p = lattice.klein_map(plane)
+    if p.a2.m11 != 1:
+        raise NotSymplectic("symplectic complement requires a symplectic plane")
+    return lattice.klein_inverse(KleinPair(-p.a1, Mat2(1, -p.a2.m12, -p.a2.m21, -1)))
+
+
+def opposite(plane):
+    """The plane of the swapped basis."""
+    return Plane.from_basis(plane.v2, plane.v1)
+
+
+def _cube_from_entry_fn(fn):
+    return Cube(tuple(fn(i, j, k) for i in range(2) for j in range(2) for k in range(2)))
+
+
+def cube_from_forms(q1, q2):
+    """The cube whose layers are the plane of the pair (A(q1), -A(S.q2))."""
+    d1, d2 = discriminant(q1), discriminant(q2)
+    if d1 == 0 or d2 == 0:
+        raise ZeroDiscriminant("cube construction requires nonzero discriminants")
+    if d1 != d2:
+        raise MismatchedDiscriminant(f"{d1} != {d2}")
+    plane = lattice.klein_inverse(KleinPair(gross(q1), -gross(act(GEN_S, q2))))
+    layers = (plane.v1.rows(), plane.v2.rows())
+    return _cube_from_entry_fn(lambda i, j, k: layers[i][j][k])
+
+
+def reflect(cube):
+    """e(1 - i, 1 - j, 1 - k)."""
+    e = cube.entries
+    return _cube_from_entry_fn(lambda i, j, k: e[4 * (1 - i) + 2 * (1 - j) + (1 - k)])
+
+
+def negate_layer(cube, axis, side):
+    """Negate the entries whose coordinate i, k or j (axis 1, 2 or 3) is side."""
+    if axis not in (1, 2, 3) or side not in (0, 1):
+        raise OutOfRange("axis must be 1..3 and side 0..1")
+    coord = {1: lambda i, j, k: i, 2: lambda i, j, k: k, 3: lambda i, j, k: j}[axis]
+    e = cube.entries
+    return _cube_from_entry_fn(
+        lambda i, j, k: -e[4 * i + 2 * j + k] if coord(i, j, k) == side else e[4 * i + 2 * j + k])

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import forms_of_disc, large_sl2_matrices, random_form, random_sl2, same_disc_pairs
+import klein_oracle
+from conftest import forms_of_disc, large_sl2_matrices, outcome, random_form, random_sl2, same_disc_pairs
 
 from qforms.compose import class_bar, class_compose
 from qforms.cube import (
@@ -172,3 +173,74 @@ class TestSlicingsFromEntries:
                 slicings(box)
         else:
             assert slicings(box) == tuple(Form(*t) for t in expected)
+
+
+class TestMalformedCubes:
+    @pytest.mark.parametrize("entries", [(1, 2, 3), (), (0,) * 9, (0,) * 7 + (1.0,),
+                                         (0,) * 7 + (True,), (0,) * 7 + ("1",), (0,) * 7 + (None,)])
+    def test_rejected_with_code(self, entries):
+        for make in (Cube, lambda e: Cube.from_dict({"entries": list(e)})):
+            with pytest.raises(OutOfRange) as err:
+                make(entries)
+            assert err.value.code == "out-of-range"
+
+    def test_entries_must_be_a_tuple(self):
+        # a list would make an unhashable cube that never equals its tuple twin
+        with pytest.raises(OutOfRange):
+            Cube([0] * 8)
+        assert Cube.from_dict({"entries": [0] * 8}) == Cube((0,) * 8)
+
+
+HUGE = 10**40
+huge_ints = st.integers(-9, 9) | st.integers(-HUGE, HUGE)
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+def scaled(f, k):
+    return Form(k * f.a, k * f.b, k * f.c)
+
+
+@st.composite
+def cube_form_pairs(draw):
+    """Inputs to cube_from_forms with coefficients up to about 10^40: two
+    primitive forms of one discriminant D, or contents 2 and 1 (2 q1 and
+    (1, 0, -D)), or a common content, or a discriminant-0 form, or
+    discriminants that differ; each form moved by an SL2(Z) element with
+    entries of about 10^20."""
+    kind = draw(st.sampled_from(("valid", "content-2", "common-content", "zero-disc", "mismatched")))
+    if kind == "zero-disc":
+        x, y = draw(st.integers(-50, 50)), draw(st.integers(1, 50))
+        f1 = scaled(Form(x * x, 2 * x * y, y * y), draw(st.integers(1, 3)))
+        f2 = f1 if draw(st.booleans()) else draw(same_disc_pairs(1000))[0]
+    else:
+        f1, f2 = draw(same_disc_pairs(1000))
+        if kind == "content-2":
+            f1, f2 = scaled(f1, 2), Form(1, 0, -discriminant(f1))
+        elif kind == "common-content":
+            k = draw(st.sampled_from((2, 3, -6)))
+            f1, f2 = scaled(f1, k), scaled(f2, k)
+        elif kind == "mismatched":
+            a, b, c = draw(huge_ints.filter(bool)), draw(huge_ints), draw(huge_ints)
+            f2 = scaled(f2, 3) if draw(st.booleans()) else Form(a, b, c)
+    if draw(st.booleans()):
+        f1, f2 = f2, f1
+    return act(draw(large_sl2_matrices(10**10)), f1), act(draw(large_sl2_matrices(10**10)), f2)
+
+
+class TestCubeAgainstRoundTrip:
+    """cube_from_forms, reflect and negate_layer against the Klein-pair round
+    trip and the entry-by-entry maps of klein_oracle.py, error codes
+    included."""
+
+    @PROPERTY
+    @given(forms=cube_form_pairs())
+    def test_cube_from_forms(self, forms):
+        assert outcome(cube_from_forms, *forms) == outcome(klein_oracle.cube_from_forms, *forms)
+
+    @PROPERTY
+    @given(entries=st.tuples(*[huge_ints] * 8), axis=st.integers(1, 3) | st.integers(-1, 5),
+           side=st.integers(0, 1) | st.integers(-1, 2))
+    def test_reflect_and_negate_layer(self, entries, axis, side):
+        box = Cube(entries)
+        assert reflect(box) == klein_oracle.reflect(box)
+        assert outcome(negate_layer, box, axis, side) == outcome(klein_oracle.negate_layer, box, axis, side)

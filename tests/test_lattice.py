@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hnf_oracle
 import klein_oracle
@@ -657,3 +657,42 @@ class TestClosedFormAgainstKernelOracle:
         # q_L = 0 on span(b1, b4): klein_map reports the zero form first
         plane = Plane.from_basis(Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0))
         assert outcome(klein_map, plane) == outcome(klein_oracle.klein_map, plane) == ("err", "zero-form")
+
+
+@st.composite
+def huge_planes(draw):
+    """Planes with coefficients up to about 10^40: the summands among
+    huge_bases (planes with q_L = 0 or disc(q_L) = 0 among them), and the
+    symplectic planes of the pairs
+
+        a1 = [[2kp - 1, 2q], [-2np, 1 - 2kp]],  a2 = [[1, 2p], [2(k^2 p - k - nq), -1]]
+
+    for any integers p, q, k, n, in either orientation (the opposite one
+    has a2.m11 = -1, so it is not symplectic)."""
+    if draw(st.booleans()):
+        plane = outcome(Plane.from_basis, *draw(huge_bases()))[1]
+        assume(isinstance(plane, Plane))
+        return plane
+    p, q, k, n = (draw(st.integers(-9, 9) | st.integers(-10**13, 10**13)) for _ in range(4))
+    a1 = Mat2(2 * k * p - 1, 2 * q, -2 * n * p, 1 - 2 * k * p)
+    a2 = Mat2(1, 2 * p, 2 * (k * k * p - k - n * q), -1)
+    plane = klein_inverse(KleinPair(a1, a2))
+    return plane.opposite() if draw(st.booleans()) else plane
+
+
+class TestComplementsAgainstRoundTrip:
+    """The complements and the orientation flip, read off the Plucker
+    coordinates, against the Klein-pair round trips of klein_oracle.py,
+    error codes included, at coefficients up to 10^40."""
+
+    @PROPERTY
+    @given(plane=huge_planes())
+    def test_complements_and_opposite(self, plane):
+        assert outcome(orth_complement, plane) == outcome(klein_oracle.orth_complement, plane)
+        assert outcome(is_symplectic, plane) == outcome(klein_oracle.is_symplectic, plane)
+        got = outcome(symplectic_complement, plane)
+        assert got == outcome(klein_oracle.symplectic_complement, plane)
+        if got[0] == "ok":
+            assert symplectic_complement(got[1]) == plane
+        assert plane.opposite() == klein_oracle.opposite(plane)
+        assert plane.opposite().opposite() == plane
