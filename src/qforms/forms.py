@@ -27,7 +27,13 @@ Canonical representatives per discriminant regime:
   passes.  ``canonical`` takes the minimum it returns, ``is_equivalent``
   stops it when it meets the partner form (also before its first step),
   and ``compose.class_group`` has it list each cycle once to mark all of
-  its members.
+  its members.  For ``canonical`` the walk also stops at mirror steps
+  f -> (c, b, a): the mirror (a, b, c) -> (c, b, a) keeps forms reduced
+  and reverses the neighbor step, so only a cycle it maps to itself (an
+  ambiguous class) has such steps, exactly two, half the cycle apart.
+  Walking from the start and from its mirror each to the next mirror
+  step meets half of such a cycle, and the mirrors of those forms are
+  the other half; any other cycle is walked in full.
 * D = N^2 > 0: content * (a'*x^2 + N'*x*y) where N' = N/content and
   0 <= a' < N' is the normal-form residue of the primitive part.
 """
@@ -215,21 +221,17 @@ def _reduce_positive_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
 # Reduction: indefinite forms (D > 0, not a square)
 
 
-def _is_reduced_indefinite(a: int, b: int, D: int) -> bool:
-    # 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b, all exact.
-    if b <= 0 or b * b >= D:
-        return False
-    t = 2 * abs(a)
-    if (t + b) * (t + b) <= D:
-        return False
-    return t < b or (t - b) * (t - b) < D
+def _is_reduced_indefinite(a: int, b: int, sq: int) -> bool:
+    # 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b; for D not a
+    # square, x < sqrt(D) is x <= sq = isqrt(D) on integers, so this is exact
+    return 0 < b <= sq and sq - b < 2 * abs(a) <= sq + b
 
 
 def _reduce_indefinite(a: int, b: int, c: int, D: int, sq: int) -> tuple[int, int, int]:
     # Neighbor steps (a, b, c) -> (c, r, (r^2 - D) / 4c) with r ~ -b mod 2|c|
     # in the standard window, until the form is reduced; c == 0 would force
     # D = b^2, excluded in this regime
-    while not _is_reduced_indefinite(a, b, D):
+    while not _is_reduced_indefinite(a, b, sq):
         hi = abs(c) if c * c > D else sq  # window (hi - 2|c|, hi]
         r = hi - (hi + b) % (2 * abs(c))
         a, b, c = c, r, (r * r - D) // (4 * c)
@@ -237,22 +239,22 @@ def _reduce_indefinite(a: int, b: int, c: int, D: int, sq: int) -> tuple[int, in
 
 
 # _walk raises TooLarge past this many passes (two neighbor steps each, so
-# 4 * 10^6 forms).  A pass takes about 0.45 us while the values fit one
-# machine digit (D below about 2.9 * 10^17) and 0.9 us at D = 10^20, so the
-# bound is 0.9-2 s.  The longest cycle of the benchmark pool has 485,404
-# forms (D = 584637511777, 0.11 s); class_group accepts D up to 1.6 * 10^8,
-# and the longest principal cycle of the 2,000 discriminants just below
-# that has 45,398 forms (2-vCPU x86 host, Python 3.11)
+# 4 * 10^6 forms, or an ambiguous cycle of 8 * 10^6 for canonical).  A pass
+# takes about 0.45 us while the values fit one machine digit (D below about
+# 2.9 * 10^17) and 0.9 us at D = 10^20, so the bound is 0.9-2 s.  The
+# longest cycle of the benchmark pool has 485,404 forms (D = 584637511777,
+# ambiguous: 0.06 s, 0.12 s for a full walk); class_group accepts D up to
+# 1.6 * 10^8, and the longest principal cycle of the 2,000 discriminants
+# just below that has 45,398 forms (2-vCPU x86 host, Python 3.11)
 _WALK_MAX = 2 * 10**6
 
 
-def _walk(a: int, b: int, c: int, D: int, sq: int, stop=(0, 0, 0), members=None):
-    """Walk the cycle of the reduced form (a, b, c) once (D > 0 non-square,
+def _walk(a: int, b: int, c: int, D: int, sq: int, stop=None, members=None):
+    """Walk the cycle of the reduced form (a, b, c) (D > 0 non-square,
     sq = isqrt(D)) and return its least form, or None as soon as the walk
-    meets the form ``stop``; the default, the zero form, is on no cycle.
-    Given a list ``members``, it appends each form of the cycle once, in
-    cycle order, from the first form with a < 0.  TooLarge is raised past
-    ``_WALK_MAX`` passes.
+    meets the form ``stop``.  Given a list ``members``, it appends each form
+    of the cycle once, in cycle order, from the first form with a < 0.
+    TooLarge is raised past ``_WALK_MAX`` passes.
 
     This is the one place where a reduced cycle is stepped.  A reduced form
     has |c| < sqrt(D), so the neighbor step (a, b, c) -> (c, r, .) takes
@@ -263,11 +265,69 @@ def _walk(a: int, b: int, c: int, D: int, sq: int, stop=(0, 0, 0), members=None)
     since D - b^2 = UV on either half of the cycle.  Every value stays below
     2 sqrt(D), with no product of the size of D and no division by 4c.
     After one step from a > 0, each pass takes the step from a < 0 and
-    then the one from a > 0.  The least form has a < 0, so only that half
-    is compared with the running minimum (the largest U, then the least b),
-    and the test for the return to the start runs once per pass.
+    then the one from a > 0.  The least form has a < 0, so it is the one
+    with the largest U, then the least b.
+
+    With neither ``stop`` nor ``members`` the walk stops at mirror steps.
+    The mirror rho(a, b, c) = (c, b, a) of a reduced form is reduced, and
+    it reverses the neighbor step: if g follows f, rho(f) follows rho(g).
+    So a step f -> rho(f), which on the magnitudes is a step with r == b,
+    occurs only on a cycle that rho maps to itself (an ambiguous class),
+    and such a cycle of L forms has exactly two of them, L/2 steps apart.
+    The walk goes forward from the start f0 to the first mirror step, then
+    from rho(f0) to the next one; the forms X met in the two walks and
+    their mirrors rho(X) make up the whole cycle, which costs L/2 + O(1)
+    steps.  A form met with a < 0 is compared by (U, b), one with a > 0 by
+    the (V, b) of its mirror (-V/2, b, U/2); the two minima are kept apart
+    until a mirror step shows the cycle ambiguous.  A walk that comes back
+    to f0 first is on a cycle that is not ambiguous and returns the a < 0
+    minimum after all L steps.  The two walks share the budget.
     """
-    sa, sb, _ = stop
+    if stop is None and members is None:
+        nU = nb = nV = mU = mb = mV = 0  # least a < 0 form; least mirror of an a > 0 one
+        left = _WALK_MAX
+        for a, b, c in ((a, b, c), (c, b, a)):
+            if a > 0:
+                U, V = 2 * a, -2 * c
+                if V >= mU and (V > mU or b < mb):
+                    mU, mb, mV = V, b, U
+                q = (sq + b) // V
+                r = q * V - b
+                if r == b:
+                    continue
+                U, b, V = V, r, U + q * (b - r)
+            else:
+                U, V = -2 * a, 2 * c
+            U0, b0 = U, b
+            if U >= nU and (U > nU or b < nb):
+                nU, nb, nV = U, b, V
+            for i in range(left):
+                # a < 0 < c
+                q = (sq + b) // V
+                r = q * V - b
+                if r == b:
+                    break
+                U, b, V = V, r, U + q * (b - r)
+                # a > 0 > c
+                if V >= mU and (V > mU or b < mb):
+                    mU, mb, mV = V, b, U
+                q = (sq + b) // V
+                r = q * V - b
+                if r == b:
+                    break
+                U, b, V = V, r, U + q * (b - r)
+                if b == b0 and U == U0:
+                    return -nU >> 1, nb, nV >> 1
+                if U >= nU and (U > nU or b < nb):
+                    nU, nb, nV = U, b, V
+            else:
+                raise TooLarge(f"cycles are walked only up to {_WALK_MAX} passes of two steps, "
+                               f"a cycle of D = {D} is longer")
+            left -= i + 1
+        if mU > nU or (mU == nU and mb < nb):
+            return -mU >> 1, mb, mV >> 1
+        return -nU >> 1, nb, nV >> 1
+    sa, sb, _ = stop or (0, 0, 0)  # the zero form is on no cycle
     if a == sa and b == sb:  # (a, b) determine c
         return None
     pos_stop = 2 * sa  # the stop form has U = 2 sa if sa > 0, U = -2 sa if sa < 0
