@@ -28,23 +28,24 @@ composition goes through it.
 Class groups are enumerated per discriminant regime: Gauss-reduced forms
 of both definiteness signs for D < 0, reduced cycles for positive
 non-square D, and the residue parametrization a mod N -> [a x^2 + N x y]
-for D = N^2.  For D < 0 only b = D (mod 2) occurs, so b runs over
-0 <= b <= a in steps of 2 and one test of b^2 = D (mod 4a) serves both
-signs of b; the forms found are reduced already, so they and their
-negatives become classes with no further reduction, as do the canonical
-triples (a, N, 0), 0 < a < N coprime to N, of D = N^2.  For positive
-non-square D, every cycle holds a reduced form (+-a, b, +-c) with
-5a^2 <= D (Markov's bound on the least value of a form, see
-``_indefinite_classes``), so only those forms are listed: for each such a
-the square roots of D mod 4a, built from a least-prime-factor sieve by
-Tonelli-Shanks, Hensel lifting and CRT (Cohen, section 1.5), each give
-one b in the reduced window.  That is O(sqrt(D)) root steps, where a
-scan over (b, |a|) took O(D).  The cycle of each listed form is walked
-once by ``forms._walk``, which returns its least form (the class
-representative) and lists its members; all of them are marked with that
-representative, so R reduced forms cost O(R) steps, not one cycle walk
-each.  ``class_group`` raises TooLarge before an enumeration longer than
-``_CLASS_GROUP_SCAN_MAX`` steps.
+for D = N^2.  Both non-square regimes list forms from ``_roots_mod_4a``:
+for each a up to a bound, the square roots z mod 2a of D mod 4a, built
+from a least-prime-factor sieve by Tonelli-Shanks, Hensel lifting and CRT
+(Cohen, section 1.5).  That is O(sqrt|D|) root steps, where a scan over
+(a, b) took O(|D|); at D = -2.4 * 10^8 ``class_group`` takes 0.06 s, where
+the scan took 2.6 s.  Each root gives one b.  For D < 0, a <= sqrt(|D|/3)
+and b is z moved into (-a, a]; the forms with c >= a (and b >= 0 when
+a = c) are reduced already, so they and their negatives become classes
+with no further reduction, as do the canonical triples (a, N, 0),
+0 < a < N coprime to N, of D = N^2.  For positive non-square D, every
+cycle holds a reduced form (+-a, b, +-c) with 5a^2 <= D (Markov's bound
+on the least value of a form, see ``_indefinite_classes``), so only those
+forms are listed, with b moved into the reduced window.  The cycle of
+each listed form is walked once by ``forms._walk``, which returns its
+least form (the class representative) and lists its members; all of them
+are marked with that representative, so R reduced forms cost O(R) steps,
+not one cycle walk each.  ``class_group`` raises TooLarge before an
+enumeration longer than ``_CLASS_GROUP_SCAN_MAX`` steps.
 
 ``_class_triples`` is the enumeration on canonical coefficient triples;
 ``class_group`` wraps its result in ``FormClass`` objects.  The loops
@@ -354,26 +355,6 @@ class OrientedClassGroup:
         }
 
 
-def _reduced_definite(D: int) -> list[tuple[int, int, int]]:
-    # the positive definite Gauss-reduced primitive forms of discriminant
-    # D < 0: |b| <= a <= c, so 3a^2 <= |D|, and b = D mod 2; one test of
-    # b^2 = D mod 4a serves both signs of b, and (a, -b, c) is reduced
-    # unless b = 0, b = a or a = c
-    out = []
-    for a in range(1, isqrt(-D // 3) + 1):
-        m = 4 * a
-        for b in range(D % 2, a + 1, 2):
-            if (b * b - D) % m:
-                continue
-            c = (b * b - D) // m
-            if c < a or gcd(a, b, c) != 1:
-                continue
-            out.append((a, b, c))
-            if b and b != a and a != c:
-                out.append((a, -b, c))
-    return out
-
-
 def _sqrt_mod_prime(n: int, p: int) -> int:
     # a square root of the quadratic residue n mod the odd prime p (Tonelli-Shanks)
     if p % 4 == 3:
@@ -394,33 +375,84 @@ def _sqrt_mod_prime(n: int, p: int) -> int:
     return r
 
 
-def _prime_power_roots(D: int, p: int, top: int) -> dict[int, list[int]]:
-    """For each power q = p^k <= top of the prime p, the x mod q with
-    x^2 = D (mod q).
+def _prime_power_roots(D: int, p: int, top: int, roots: dict[int, list[int]]) -> None:
+    """Set roots[q], for each power q = p^k <= top of the odd prime p, to
+    the x mod q with x^2 = D (mod q).
 
-    The roots mod p are D mod 2 for p = 2, 0 for p | D, and +-r from
-    Tonelli-Shanks otherwise.  A root r mod q lifts to mod pq by Hensel's
-    step when p does not divide 2r; when it does, (r + tq)^2 = r^2 mod pq
-    for every t, so all p lifts are roots or none is.
+    The roots mod p are 0 for p | D and +-r from Tonelli-Shanks otherwise.
+    A root r mod q lifts to mod pq by Hensel's step when p does not divide
+    r; when it does, (r + tq)^2 = r^2 mod pq for every t, so all p lifts
+    are roots or none is.
     """
-    if p == 2 or D % p == 0:
-        roots = [D % p]
+    if D % p == 0:
+        rs = [0]
     elif pow(D, (p - 1) // 2, p) == 1:
         r = _sqrt_mod_prime(D % p, p)
-        roots = [r, p - r]
+        rs = [r, p - r]
     else:
-        roots = []
-    out = {p: roots}
+        rs = []
+    roots[p] = rs
     q = p
     while p * q <= top:
         lifted = []
-        for r in roots:
-            if p != 2 and r % p:
+        for r in rs:
+            if r % p:
                 lifted.append((r - (r * r - D) * pow(2 * r, -1, p * q)) % (p * q))
             elif (r * r - D) % (p * q) == 0:
                 lifted.extend(range(r, p * q, q))
         q *= p
-        out[q] = roots = lifted
+        roots[q] = rs = lifted
+
+
+def _roots_mod_4a(D: int, top: int) -> list[tuple[int, int]]:
+    """Every (a, z) with 1 <= a <= top, 0 <= z < 2a and z^2 = D (mod 4a).
+
+    Write a = t m with t a power of 2 and m odd.  The x mod 2t with
+    x^2 = D (mod 4t) are lifted from t to 2t: each is some such x or
+    x + 2t, as (x + 2t)^2 = x^2 (mod 4t).  The roots of D mod m are
+    combined by CRT along m = p^k n (p the least prime factor of m, from a
+    sieve) from the roots mod p^k and those mod n.  Each z is then the CRT
+    of a root x mod 2t and a root y mod m.
+    """
+    spf = list(range(top + 1))
+    for p in range(3, isqrt(top) + 1, 2):
+        if spf[p] == p:
+            for m in range(p * p, top + 1, 2 * p):
+                if spf[m] == m:
+                    spf[m] = p
+    roots = {1: [0]}  # roots[m]: the x mod m with x^2 = D (mod m), m odd
+    for m in range(3, top + 1, 2):
+        p = spf[m]
+        if m == p:
+            _prime_power_roots(D, p, top, roots)
+        elif m not in roots:  # m = q n, q = p^k, n > 1 prime to p
+            q, n = p, m // p
+            while n % p == 0:
+                q, n = q * p, n // p
+            u = pow(q, -1, n)
+            roots[m] = [x + q * ((y - x) * u % n) for x in roots[q] for y in roots[n]]
+    out = []
+    xs, t = [D % 2], 1  # the x mod 2t with x^2 = D (mod 4t)
+    while t <= top and xs:
+        out += [(t * m, x + 2 * t * ((y - x) * u % m))
+                for m in range(1, top // t + 1, 2) if roots[m]
+                for u in [pow(2 * t, -1, m)] for x in xs for y in roots[m]]
+        xs = [x for r in xs for x in (r, r + 2 * t) if (x * x - D) % (8 * t) == 0]
+        t *= 2
+    return out
+
+
+def _reduced_definite(D: int) -> list[tuple[int, int, int]]:
+    # the positive definite Gauss-reduced primitive forms of discriminant
+    # D < 0: |b| <= a <= c, so 3a^2 <= |D|, and b >= 0 when |b| = a or
+    # a = c; each root z mod 2a of D mod 4a gives the one b = z (mod 2a)
+    # in (-a, a]
+    out = []
+    for a, z in _roots_mod_4a(D, isqrt(-D // 3)):
+        b = z - 2 * a if z > a else z
+        c = (b * b - D) // (4 * a)
+        if c >= a and (b >= 0 or a < c) and gcd(a, b, c) == 1:
+            out.append((a, b, c))
     return out
 
 
@@ -428,57 +460,16 @@ def _markov_forms(D: int, sq: int) -> list[tuple[int, int, int]]:
     """The reduced primitive forms (+-a, b, +-c) of D > 0 non-square with
     a > 0 and 5a^2 <= D, from the square roots of D mod 4a.
 
-    Write a = t m with t a power of 2 and m odd.  The roots of D mod m are
-    combined by CRT along m = p^k n (p the least prime factor of m, from a
-    sieve) from the roots mod p^k and those mod n; the x mod 2a with
-    x^2 = D (mod 4a) then combine them with the roots mod 4t, taken mod 2t.
-    Since 2a < sqrt(D), each such x gives exactly one reduced form: b is x
-    moved into the window (sq - 2a, sq], and c = (b^2 - D) / 4a.
+    Since 2a < sqrt(D), each root z mod 2a gives exactly one reduced form:
+    b is z moved into the window (sq - 2a, sq], and c = (b^2 - D) / 4a.
     """
-    top = isqrt(D // 5)
-    spf = list(range(top + 1))
-    for p in range(3, isqrt(top) + 1, 2):
-        if spf[p] == p:
-            for m in range(p * p, top + 1, 2 * p):
-                if spf[m] == m:
-                    spf[m] = p
-    two = _prime_power_roots(D, 2, 4 * top)
-    twos = []  # (t, the x mod 2t with x^2 = D mod 4t) for t = 1, 2, 4, ... <= top
-    t = 1
-    while t <= top:
-        twos.append((t, [x for x in two[4 * t] if x < 2 * t]))
-        t *= 2
-    local = {}
-    odd = {1: [0]}  # odd[m]: the x mod m with x^2 = D (mod m)
     out = []
-    for m in range(1, top + 1, 2):
-        if m > 1:
-            p = q = spf[m]
-            n = m // p
-            while n % p == 0:
-                q, n = q * p, n // p
-            if m == p:
-                local.update(_prime_power_roots(D, p, top))
-            rs1, rs2 = local[q], odd[n]
-            if not (rs1 and rs2):
-                odd[m] = []
-                continue
-            u = pow(q, -1, n)
-            odd[m] = [x + q * ((y - x) * u % n) for x in rs1 for y in rs2]
-        rs = odd[m]
-        half = u = (m + 1) // 2  # the inverse of 2, then of 2t, mod m
-        for t, rs2 in twos:
-            a = t * m
-            if a > top:
-                break
-            for x in rs2:
-                for y in rs:
-                    b = sq - (sq - x - 2 * t * ((y - x) * u % m)) % (2 * a)
-                    c = (b * b - D) // (4 * a)
-                    if gcd(a, b, c) == 1:
-                        out.append((a, b, c))
-                        out.append((-a, b, -c))
-            u = u * half % m
+    for a, z in _roots_mod_4a(D, isqrt(D // 5)):
+        b = sq - (sq - z) % (2 * a)
+        c = (b * b - D) // (4 * a)
+        if gcd(a, b, c) == 1:
+            out.append((a, b, c))
+            out.append((-a, b, -c))
     return out
 
 
@@ -537,10 +528,12 @@ def _class_triples(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, int, 
 def class_group(D: int) -> OrientedClassGroup:
     """The oriented class group of discriminant D (complete, with identity).
 
-    The enumeration is counted as about |D|/12 b-tests for D < 0, D/8
-    steps for positive non-square D (see _CLASS_GROUP_SCAN_MAX) and N
-    residues of 150 steps each for D = N^2; TooLarge is raised before it
-    starts when that exceeds _CLASS_GROUP_SCAN_MAX steps.
+    Both signs of non-square D list their reduced forms from the square
+    roots of D mod 4a (``_roots_mod_4a``), in O(sqrt|D|) steps: 0.06 s at
+    D = -2.4 * 10^8.  The enumeration is counted as |D|/12 steps for
+    D < 0, D/8 for positive non-square D (see _CLASS_GROUP_SCAN_MAX) and
+    N residues of 150 steps each for D = N^2; TooLarge is raised before
+    it starts when that exceeds _CLASS_GROUP_SCAN_MAX steps.
     """
     triples, identity = _class_triples(D)
     return OrientedClassGroup(D, [FormClass(Form(*t), D) for t in triples], triples.index(identity))
@@ -571,19 +564,24 @@ class SpecialClass:
 # divisions take about 1 s (0.98 s on a 2-vCPU x86 host, Python 3.11)
 _DIVISOR_PAIRS_MAX = 10**14
 
-# class_group refuses a discriminant whose enumeration takes more steps
-# than this, a step being one b-test of the definite scan (about 0.12 us;
-# about 2.4 s at the bound, D = -2.4 * 10^8).  Positive non-square D
-# count D/8 steps, so D > 1.6 * 10^8 is refused, although listing the
-# forms with 5a^2 <= D from square roots mod 4a and walking one cycle each
-# takes at most 0.15 s for the 200 D just below that bound (0.03 s at
-# D = 100000001, h = 720); each walk is also bounded by forms._WALK_MAX.
-# A residue of the square scan becomes a class with no reduction (about
-# 3 us), but each class holds about 300 bytes until the call returns, so a
-# residue counts as 150 steps: that bounds the peak memory, not the time.
-# At the bound, D = 133333^2, it is 132,300 classes, about 40 MB, in
-# 0.4 s; one step per residue would allow 2 * 10^7 classes, about 6 GB
-# (2-vCPU x86 host, Python 3.11)
+# class_group refuses a discriminant whose enumeration is counted as more
+# steps than this.  Both signs of non-square D list their forms from the
+# square roots of D mod 4a in O(sqrt|D|) steps, but keep the counts of
+# the scans those roots replaced.  D < 0 count |D|/12 steps, so
+# D < -2.4 * 10^8 is refused, although class_group takes 0.06 s at
+# D = -2.4 * 10^8 (h = 8,000) and at most about 0.2 s for the 200
+# accepted D nearest it (h up to 38,000, about 13 MB at the peak).
+# Positive non-square D count D/8 steps, so D > 1.6 * 10^8 is refused,
+# although it takes at most 0.15 s for the 200 D just below that bound
+# (0.03 s at D = 100000001, h = 720); each cycle walk is also bounded by
+# forms._WALK_MAX.  The coset step of seifert.enumerate_realizable_pairs
+# has no bound of its own yet, so these counts stay.  A residue of the
+# square scan becomes a class with no reduction (about 3 us), but each
+# class holds about 300 bytes until the call returns, so a residue counts
+# as 150 steps: that bounds the peak memory, not the time.  At the bound,
+# D = 133333^2, it is 132,300 classes, about 40 MB, in 0.4 s; one step per
+# residue would allow 2 * 10^7 classes, about 6 GB (2-vCPU x86 host,
+# Python 3.11)
 _CLASS_GROUP_SCAN_MAX = 2 * 10**7
 
 # OrientedClassGroup.table refuses a group whose table takes more

@@ -427,9 +427,8 @@ def square_residue(f: Form) -> tuple[int, int]:
     c1 = f1.c
     if f1.b == -N:
         return (N, c1 % N)
-    # (c1, -N, 0) ~ Q_{N, c1^-1 mod N}
-    _, inv, _ = _ext_gcd(c1 % N if N > 1 else 0, N)
-    return (N, inv % N if N > 1 else 0)
+    # (c1, -N, 0) ~ Q_{N, c1^-1 mod N}; gcd(c1, N) = 1 as f1 is primitive
+    return (N, pow(c1, -1, N))
 
 
 def _canonical_square(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:

@@ -101,13 +101,6 @@ def gross_content(v: Mat2) -> int:
     return gcd(gcd(abs(v.m11), abs(v.m12 // 2)), abs(v.m21 // 2))
 
 
-def pair_primitive(a1: Mat2, a2: Mat2) -> bool:
-    """No prime divides both vectors inside the Gross lattice."""
-    if not (is_gross(a1) and is_gross(a2)):
-        raise NotGross("pair-primitivity is defined inside the Gross lattice")
-    return gcd(gross_content(a1), gross_content(a2)) == 1
-
-
 # ---------------------------------------------------------------------------
 # Planes
 

@@ -8,8 +8,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import forms_of_disc, random_form
 from classgroup_oracle import class_group_by_canonical
+from formclass_oracle import reduced_definite
 from search_oracle import compose_by_search
+from test_forms import time_limit
 from qforms.compose import (
+    _reduced_definite,
     class_bar,
     class_compose,
     class_group,
@@ -318,13 +321,23 @@ class TestClassGroup:
         assert g.order == 1 and g.elements == [identity_class(1000033)]
 
     def test_large_negative_class_group_within_budget(self):
-        # D = -100000007: about 8.3 * 10^6 tests of b = D mod 2; testing every
-        # b in (-a, a] took about 5.5 s
-        t0 = time.perf_counter()
-        g = class_group(-100000007)
-        assert time.perf_counter() - t0 < 3.0
+        # D = -100000007: the square roots of D mod 4a for a <= 5773 list
+        # its 7,253 positive reduced forms in about 0.02 s; the scan over
+        # b = D mod 2 that they replaced took about 1 s (2-vCPU host)
+        with time_limit(0.5):
+            g = class_group(-100000007)
         assert g.order == 14506
         assert g.elements[g.identity_index] == identity_class(-100000007)
+
+    @pytest.mark.parametrize("D", [
+        -10**6 - 3,
+        -4 * 3 * 5 * 7 * 11 * 13 * 17,  # many small odd primes
+        -3 * 2**20,  # a high power of 2
+        -(105**2) * 95,  # an odd square factor
+    ])
+    def test_reduced_definite_matches_trial_over_every_b(self, D):
+        # past the exhaustive sweep of test_triple_paths, which stops at -20000
+        assert sorted(_reduced_definite(D)) == sorted(f.coeffs() for f in reduced_definite(D))
 
 
 class TestSpecialClasses:

@@ -1,4 +1,5 @@
 import time
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,13 +25,13 @@ from qforms.lattice import (
     Plane,
     form_of,
     gross,
+    gross_content,
     is_gross,
     is_symplectic,
     klein_inverse,
     klein_map,
     orth_complement,
     pair_from_dict,
-    pair_primitive,
     pair_to_dict,
     plane_from_dict,
     plane_to_dict,
@@ -143,11 +144,6 @@ class TestGross:
         with pytest.raises(NotGross):
             form_of(Mat2(0, 1, 1, 0))
 
-    def test_pair_primitive(self):
-        assert pair_primitive(gross(Form(2, 1, 3)), gross(Form(1, 1, 6)))
-        assert not pair_primitive(gross(Form(2, 1, 3)).scale(2), gross(Form(1, 1, 6)).scale(2))
-        assert pair_primitive(gross(Form(1, 1, 6)).scale(3), gross(Form(2, 1, 3)).scale(2))
-
 
 class TestPlane:
     def test_dependent_basis_rejected(self):
@@ -216,7 +212,8 @@ class TestKleinMap:
         for _ in range(50):
             p = klein_inverse(random_klein_pair(rng))
             pair = klein_map(p)
-            assert pair_primitive(pair.a1, pair.a2)
+            assert is_gross(pair.a1) and is_gross(pair.a2)
+            assert gcd(gross_content(pair.a1), gross_content(pair.a2)) == 1
 
 
 class TestKleinInverse:

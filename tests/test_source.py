@@ -31,3 +31,32 @@ def test_no_unused_imports_in_library():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"unused imports in the library: {found}"
+
+
+def test_no_unused_private_names_in_library():
+    # a private module-level name is read somewhere in the library: a name
+    # read in its own module, an attribute or an imported name in another
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(qforms.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {d}" for d in defined
+                      if d.startswith("_") and not d.startswith("__") and d not in used]
+    assert not found, f"unused private names in the library: {found}"
