@@ -259,9 +259,6 @@ def _cmd_seifert_pairs(args) -> tuple[dict, str]:
     from . import seifert
 
     disc = _resolve_disc(args)
-    # not-a-discriminant before not-one-mod-4, and the class_group budget
-    # before the witness search's trial division up to sqrt((1 - D) / 4)
-    compose.identity_class(disc)
     pairs = seifert.enumerate_realizable_pairs(
         disc, include_nonprimitive=args.include_nonprimitive)
     found, witness = seifert.nonisotopic_exists(disc)

@@ -87,10 +87,8 @@ from .forms import (
     discriminant,
     form_class,
     square_residue,
-    substitute,
     _canonical,
     _ext_gcd,
-    _extend_unimodular,
     _walk,
 )
 
@@ -99,28 +97,29 @@ from .forms import (
 # Composition
 
 
-def _with_leading(f: Form, coprime_to: int) -> Form:
-    """An equivalent form whose leading coefficient is nonzero and coprime
-    to N = |coprime_to|; requires gcd(N, content(f)) = 1.
+def _with_leading(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
+    """A form equivalent to (a, b, c) whose leading coefficient is nonzero
+    and coprime to n >= 1; requires gcd(n, a, b, c) = 1.
 
     Closed form (Cox, Primes of the form x^2 + ny^2, Lemma 2.25): y is the
-    largest divisor of N coprime to a, x the largest divisor of N / y
-    coprime to c.  Every prime p | N then divides exactly one of x, y, or
+    largest divisor of n coprime to a, x the largest divisor of n / y
+    coprime to c.  Every prime p | n then divides exactly one of x, y, or
     neither when p divides a and c (and so not b), so p does not divide
-    f(x, y) = a x^2 + b x y + c y^2.
+    f(x, y) = a x^2 + b x y + c y^2.  With x u + y v = 1 the substitution
+    ((x, -v), (y, u)) has determinant 1 and gives (f(x, y), ., f(-v, u)).
     """
-    a, b, c = f.a, f.b, f.c
-    n = abs(coprime_to)
     if a != 0 and gcd(a, n) == 1:
-        return f
+        return a, b, c
     if c != 0 and gcd(c, n) == 1:
-        return Form(c, -b, a)  # the S-swap (x, y) -> (-y, x)
+        return c, -b, a  # the S-swap (x, y) -> (-y, x)
     if n == 1:  # a = c = 0: f(x, x + y) = b x^2 + b x y
-        return Form(b, b, 0)
+        return b, b, 0
     y = _coprime_part(n, a)
     x = _coprime_part(n // y, c)
-    g = _extend_unimodular(x, y)
-    return substitute(f, g.m11, g.m12, g.m21, g.m22)
+    _, u, v = _ext_gcd(x, y)
+    return (a * x * x + b * x * y + c * y * y,
+            b * (x * u - y * v) + 2 * (c * y * u - a * x * v),
+            a * v * v - b * v * u + c * u * u)
 
 
 def _coprime_part(n: int, a: int) -> int:
@@ -150,17 +149,16 @@ def concordant_pair(f1: Form, f2: Form) -> tuple[Form, Form]:
         raise NotCoprimeContent(f"contents {m1}, {m2} are not coprime")
     if f1.a != 0 and f2.a != 0 and f1.b == f2.b and gcd(f1.a, f2.a) == 1:
         return f1, f2  # already concordant
-    g1 = _with_leading(f1, m2)
-    g2 = _with_leading(f2, g1.a)
+    a1, b1, _ = _with_leading(f1.a, f1.b, f1.c, m2)
+    a2, b2, _ = _with_leading(f2.a, f2.b, f2.c, abs(a1))
     # common middle coefficient: b = b1 mod 2a1 and b = b2 mod 2a2; the
     # parities of b1 and b2 agree (both match D), so CRT applies with
     # gcd(2a1, 2a2) = 2
-    a1, a2 = g1.a, g2.a
     _, u, _ = _ext_gcd(2 * a1, 2 * a2)
-    diff = g2.b - g1.b
+    diff = b2 - b1
     if diff % 2:
-        raise AssertionError(f"middle coefficients {g1.b}, {g2.b} differ in parity")
-    b = g1.b + 2 * a1 * u * (diff // 2)
+        raise AssertionError(f"middle coefficients {b1}, {b2} differ in parity")
+    b = b1 + 2 * a1 * u * (diff // 2)
     # b == b_i mod 2 a_i, so each translated form is (a_i, b, (b^2 - D) / (4 a_i))
     h1 = Form(a1, b, (b * b - D) // (4 * a1))
     h2 = Form(a2, b, (b * b - D) // (4 * a2))
@@ -178,7 +176,7 @@ def _project(a: int, b: int, c: int, m: int, D: int) -> tuple[int, int, int]:
     """
     if m == 1:
         return a, b, c
-    a, b, c = _with_leading(Form(a, b, c), m).coeffs()
+    a, b, c = _with_leading(a, b, c, m)
     if m % 2:
         k = -b * pow(2 * a, -1, m) % m
     else:  # b is even; k is fixed mod m/2, and k + m/2 flips the parity of b/m
@@ -208,9 +206,9 @@ def _compose(a1: int, b1: int, c1: int, a2: int, b2: int, c2: int, D: int) -> tu
         a1, b1, c1 = _project(a1 // m1, b1 // m1, c1 // m1, m2, D)
         a2, b2, c2 = _project(a2 // m2, b2 // m2, c2 // m2, m1, D)
     if a1 == 0:
-        a1, b1, c1 = _with_leading(Form(a1, b1, c1), 1).coeffs()
+        a1, b1, c1 = _with_leading(a1, b1, c1, 1)
     if a2 == 0:
-        a2, b2, c2 = _with_leading(Form(a2, b2, c2), 1).coeffs()
+        a2, b2, c2 = _with_leading(a2, b2, c2, 1)
     s = (b1 + b2) // 2
     n = b2 - s
     d = gcd(a1, a2)
@@ -586,9 +584,9 @@ _CLASS_GROUP_SCAN_MAX = 2 * 10**7
 
 # OrientedClassGroup.table refuses a group whose table takes more
 # compositions than this, h(h+1)/2 for h classes, so h > 631.  One
-# composition with its reduction took 3-6 us for D < 0 (tables of
-# h = 78 to 496), 11-12 us for D = N^2 (h = 630 at 631^2: 2.45 s) and
-# 15 us for D = 100000001 (h = 720), so about 2.4 s at the bound
+# composition with its reduction takes 2.5-4 us for D < 0 (tables of
+# h = 78 to 210), 2.8 us for D = N^2 (h = 630 at 631^2: 0.56 s) and
+# 9-10 us for D = 100000001 (h = 720), so about 2 s at the bound
 # (2-vCPU x86 host, Python 3.11)
 _TABLE_MAX = 2 * 10**5
 

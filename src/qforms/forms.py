@@ -35,7 +35,10 @@ Canonical representatives per discriminant regime:
   step meets half of such a cycle, and the mirrors of those forms are
   the other half; any other cycle is walked in full.
 * D = N^2 > 0: content * (a'*x^2 + N'*x*y) where N' = N/content and
-  0 <= a' < N' is the normal-form residue of the primitive part.
+  0 <= a' < N' is the normal-form residue of the primitive part, in
+  closed form on integers (``square_residue``): the unimodular matrix
+  whose first column is the zero ((N' - b) / g, 2a / g) of the primitive
+  part, g = gcd(N' - b, 2a), moves it to (0, -N', c'), and a' = c' mod N'.
 """
 
 from __future__ import annotations
@@ -370,28 +373,6 @@ def _walk(a: int, b: int, c: int, D: int, sq: int, stop=None, members=None):
 # Reduction: square discriminants (D = N^2 > 0)
 
 
-def _primitive_zero(f: Form, N: int) -> tuple[int, int]:
-    """A primitive (x0, y0) with f(x0, y0) = 0, for disc(f) = N^2."""
-    if f.a == 0:
-        return (1, 0)
-    # f = a (x - r1 y)(x - r2 y) with r1 = (-b + N) / (2a)
-    num, den = -f.b + N, 2 * f.a
-    g = gcd(num, den)
-    x0, y0 = num // g, den // g
-    if y0 < 0:
-        x0, y0 = -x0, -y0
-    return (x0, y0)
-
-
-def _extend_unimodular(x0: int, y0: int) -> Mat2:
-    """Some g in SL2(Z) whose first column is the primitive vector (x0, y0)."""
-    g0, u, v = _ext_gcd(x0, y0)
-    if g0 != 1:
-        raise ValueError("vector is not primitive")
-    # x0 * u + y0 * v = 1, so ((x0, -v), (y0, u)) has determinant 1
-    return Mat2(x0, -v, y0, u)
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -410,9 +391,17 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def square_residue(f: Form) -> tuple[int, int]:
     """(N, a mod N) with f properly equivalent to a*x^2 + N*x*y, f primitive.
 
-    Follows the integral factorization of a square-discriminant form:
-    transform a primitive zero to (1, 0), leaving (0, +-N, c'); the
-    residue is then c' mod N, inverted mod N when the middle sign is +N.
+    Closed form, no search: for f = (a, b, c) with a != 0, the zero
+    (x0, y0) = ((N - b) / g, 2a / g) of f, g = gcd(N - b, 2a) and y0 > 0,
+    is primitive; with u = x0^-1 mod y0 and v = (1 - x0 u) / y0 the
+    substitution ((x0, -v), (y0, u)) has determinant 1 and moves f to
+    (0, -N, f(-v, u)) in every case.  Indeed f = a (x - r1 y)(x - r2 y)
+    with r1 = x0 / y0 and r2 = r1 - N / a, and the substitution turns the
+    first factor into -Y / y0 and the second into (y0 N / a) X + k Y, so
+    the middle coefficient is a (-1 / y0)(y0 N / a) = -N.  The S-swap
+    takes (0, -N, c') to (c', N, 0), so the residue is f(-v, u) mod N.
+    For a = 0 the form is (0, +-N, c) already: the residue is c mod N for
+    b = -N and c^-1 mod N for b = N, as (0, N, c) swaps to (c, -N, 0).
     """
     D = discriminant(f)
     N = isqrt(D) if D > 0 else 0
@@ -420,21 +409,21 @@ def square_residue(f: Form) -> tuple[int, int]:
         raise NotSquareDiscriminant(f"disc {D} is not a positive square")
     if not is_primitive(f):
         raise NotPrimitive("square normal form requires a primitive form")
-    x0, y0 = _primitive_zero(f, N)
-    g0 = _extend_unimodular(x0, y0)
-    f1 = substitute(f, g0.m11, g0.m12, g0.m21, g0.m22)
-    # f1 = (0, +-N, c1); swap via S to put the zero coefficient last
-    c1 = f1.c
-    if f1.b == -N:
-        return (N, c1 % N)
-    # (c1, -N, 0) ~ Q_{N, c1^-1 mod N}; gcd(c1, N) = 1 as f1 is primitive
-    return (N, pow(c1, -1, N))
+    return N, _square_residue(f.a, f.b, f.c, N)
 
 
-def _canonical_square(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
-    m = gcd(a, b, c)
-    _, res = square_residue(Form(a // m, b // m, c // m))
-    return m * res, isqrt(D), 0
+def _square_residue(a: int, b: int, c: int, N: int) -> int:
+    # the residue of square_residue for the primitive (a, b, c) of
+    # discriminant N^2, on integers
+    if a == 0:
+        return c % N if b == -N else pow(c, -1, N)
+    g = gcd(N - b, 2 * a)
+    x0, y0 = (N - b) // g, 2 * a // g
+    if y0 < 0:
+        x0, y0 = -x0, -y0
+    u = pow(x0, -1, y0)
+    v = (1 - x0 * u) // y0
+    return (a * v * v - b * v * u + c * u * u) % N
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +447,8 @@ def _canonical(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
         return -a, -b, -c
     N = isqrt(D)
     if N * N == D:
-        return _canonical_square(a, b, c, D)
+        m = gcd(a, b, c)
+        return m * _square_residue(a // m, b // m, c // m, N // m), N, 0
     return _walk(*_reduce_indefinite(a, b, c, D, N), D, N)
 
 

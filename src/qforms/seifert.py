@@ -24,11 +24,9 @@ from math import isqrt
 from typing import TYPE_CHECKING
 
 from .compose import (
-    class_compose,
     divisor_pairs,
     identity_class,
     phi_n,
-    special_square,
     _check_discriminant,
     _class_triples,
     _compose_reduced,
@@ -56,9 +54,9 @@ def realizable_disjoint_pair(s1: FormClass, s2: FormClass) -> tuple[bool, Witnes
     if s1.disc != s2.disc:
         raise MismatchedDiscriminant(f"{s1.disc} != {s2.disc}")
     D = s1.disc
+    t1, t2 = s1.coeffs(), s2.coeffs()
     for a, c in _special_witnesses(D):
-        t2 = special_square(a, c)
-        if class_compose(t2, s1) == s2:
+        if _compose_reduced(_special_square(a, c, D), t1, D) == t2:
             return True, (a, c)
     return False, None
 
@@ -183,6 +181,7 @@ def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> li
     h * |T'| compositions, h the length of the class list; no composition
     table and no FormClass is built.
     """
+    _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
     _require_one_mod_4(D)
     classes, _ = _class_triples(D)
     if include_nonprimitive:

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from qforms.errors import DomainError
-from qforms.forms import GEN_S, GEN_T, GEN_T_INV, Form, Mat2, _extend_unimodular, content, discriminant
+from qforms.forms import GEN_S, GEN_T, GEN_T_INV, Form, Mat2, content, discriminant
 from qforms.lattice import KleinPair, gross
+from square_oracle import extend_unimodular
 
 from math import gcd
 
@@ -35,7 +36,7 @@ def sl2_matrices(draw, bound):
     """SL2(Z) elements (p, *; q, *) times a shear, entries up to about bound^2."""
     p, q, t = (draw(st.integers(-bound, bound)) for _ in range(3))
     assume(gcd(p, q) == 1)
-    return _extend_unimodular(p, q) @ Mat2(1, t, 0, 1)
+    return extend_unimodular(p, q) @ Mat2(1, t, 0, 1)
 
 
 @st.composite
@@ -44,7 +45,7 @@ def large_sl2_matrices(draw, bound):
     p, q, t = (draw(st.integers(bound // 2, bound)) * draw(st.sampled_from((1, -1)))
                for _ in range(3))
     g = gcd(p, q)
-    return _extend_unimodular(p // g, q // g) @ Mat2(1, t, 0, 1)
+    return extend_unimodular(p // g, q // g) @ Mat2(1, t, 0, 1)
 
 
 @st.composite

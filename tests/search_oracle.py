@@ -10,7 +10,8 @@ closed-form construction; it agrees class for class by Gauss's theorem.
 from math import gcd
 
 from qforms.errors import NotCoprimeContent
-from qforms.forms import Form, _ext_gcd, _extend_unimodular, content, discriminant, substitute
+from qforms.forms import Form, _ext_gcd, content, discriminant, substitute
+from square_oracle import extend_unimodular
 
 
 def _height_shells(limit):
@@ -29,7 +30,7 @@ def with_leading_by_search(f, coprime_to, limit=1 << 12):
     for x, y in _height_shells(limit):
         v = f(x, y)
         if v != 0 and gcd(v, coprime_to) == 1:
-            g = _extend_unimodular(x, y)
+            g = extend_unimodular(x, y)
             return substitute(f, g.m11, g.m12, g.m21, g.m22)
     raise NotCoprimeContent(f"no representation coprime to {coprime_to} found for {f}")
 

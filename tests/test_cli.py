@@ -168,6 +168,16 @@ class TestSeifert:
         code, out, _ = run_cli(capsys, "seifert", "pairs", "--json", "--", "-39999999999999")
         assert code == 1 and json.loads(out)["error"] == "too-large"
 
+    def test_pairs_budget_before_cycle_walk(self, capsys, monkeypatch):
+        # 584637511777 is past the class_group budget, and its principal
+        # cycle has 485,404 forms: the budget refuses before any walk
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a cycle was walked")
+
+        monkeypatch.setattr("qforms.forms._walk", refuse)
+        code, out, _ = run_cli(capsys, "seifert", "pairs", "--json", "584637511777")
+        assert code == 1 and json.loads(out)["error"] == "too-large"
+
     def test_feher(self, capsys):
         code, out, _ = run_cli(capsys, "seifert", "feher", "2", "3", "1", "5", "--json")
         doc = json.loads(out)
