@@ -55,10 +55,13 @@ that compose classes pairwise (``OrientedClassGroup.table``,
 and call ``_compose_reduced`` (``_compose``, then ``forms._canonical``),
 the helper ``class_compose`` wraps; a ``FormClass`` is built only for a
 value a public function returns.  ``table`` composes each unordered pair
-once and raises TooLarge past ``_TABLE_MAX`` compositions.
-``s_plus_subgroup`` and the coset step compose with the special squares
-of ``_half_special_squares`` only: no identity, one of each inverse
-pair; ``s_plus_subgroup`` raises TooLarge before its closure would take
+once, and for D < 0 only the pairs of positive classes: the negative half
+of the table follows from the bar and the negation of the indices.  It
+raises TooLarge past ``_TABLE_MAX`` compositions.  ``s_plus_subgroup``
+and the coset step compose with the special squares of
+``_half_special_squares`` only: no identity, one of each inverse pair,
+and the coset step composes only the positive classes of D < 0;
+``s_plus_subgroup`` raises TooLarge before its closure would take
 more than ``_S_PLUS_MAX`` compositions.  Every function here is pure:
 nothing reads or writes files.
 """
@@ -82,12 +85,12 @@ from .errors import (
 from .forms import (
     Form,
     FormClass,
-    bar,
     content,
     discriminant,
     form_class,
     square_residue,
     _canonical,
+    _canonical_bar,
     _ext_gcd,
     _walk,
 )
@@ -254,8 +257,8 @@ def class_compose(s1: FormClass, s2: FormClass) -> FormClass:
 
 
 def class_bar(s: FormClass) -> FormClass:
-    """[q] -> [bar(q)], defined for every class."""
-    return FormClass.of(bar(s.representative))
+    """[q] -> [bar(q)], defined for every class; closed form for D < 0."""
+    return FormClass(Form(*_canonical_bar(*s.coeffs(), s.disc)), s.disc)
 
 
 def class_power(s: FormClass, n: int) -> FormClass:
@@ -313,8 +316,14 @@ class OrientedClassGroup:
     def table(self) -> list[list[int]]:
         """The composition table as an index matrix, computed lazily.
 
-        It takes h(h+1)/2 compositions; TooLarge is raised before anything
-        is allocated when that exceeds _TABLE_MAX.
+        The group is abelian, so each unordered pair is composed once:
+        h(h+1)/2 compositions for h classes.  For D < 0 only the k = h/2
+        positive classes are composed, k(k+1)/2 compositions, about a
+        quarter: with N the class of the negative principal form,
+        [-x] = N [bar x] and N^2 = 1, so (-x) y = -(x bar y),
+        x (-y) = -(bar x y) and (-x)(-y) = bar x bar y.  TooLarge is raised
+        before anything is allocated when h(h+1)/2 exceeds _TABLE_MAX, for
+        either sign of D.
         """
         if self._table is None:
             D = self.disc
@@ -325,10 +334,21 @@ class OrientedClassGroup:
             triples = [s.coeffs() for s in self.elements]
             idx = {t: i for i, t in enumerate(triples)}
             table = [[0] * h for _ in range(h)]
-            # the group is abelian: one composition per unordered pair
-            for i, x in enumerate(triples):
+            # sorted, the negative classes come first: triples[h-1-i] = -triples[i]
+            k = h // 2 if D < 0 else 0
+            for i in range(k, h):
+                x = triples[i]
                 for j in range(i, h):
                     table[i][j] = table[j][i] = idx[_compose_reduced(x, triples[j], D)]
+            if D < 0:
+                bar = [idx[_canonical_bar(*t, D)] for t in triples]
+                n = h - 1
+                for i in range(k, h):
+                    row, neg_row, bar_row = table[i], table[n - i], table[bar[i]]
+                    for j in range(k, h):
+                        neg_row[j] = n - row[bar[j]]
+                        row[n - j] = n - bar_row[j]
+                        neg_row[n - j] = bar_row[bar[j]]
             self._table = table
         return self._table
 
@@ -410,7 +430,8 @@ def _roots_mod_4a(D: int, top: int) -> list[tuple[int, int]]:
     x + 2t, as (x + 2t)^2 = x^2 (mod 4t).  The roots of D mod m are
     combined by CRT along m = p^k n (p the least prime factor of m, from a
     sieve) from the roots mod p^k and those mod n.  Each z is then the CRT
-    of a root x mod 2t and a root y mod m.
+    of a root x mod 2t and a root y mod m; for odd a (t = 1) that is y or
+    y + m, whichever has the parity of D.
     """
     spf = list(range(top + 1))
     for p in range(3, isqrt(top) + 1, 2):
@@ -429,8 +450,9 @@ def _roots_mod_4a(D: int, top: int) -> list[tuple[int, int]]:
                 q, n = q * p, n // p
             u = pow(q, -1, n)
             roots[m] = [x + q * ((y - x) * u % n) for x in roots[q] for y in roots[n]]
-    out = []
-    xs, t = [D % 2], 1  # the x mod 2t with x^2 = D (mod 4t)
+    out = [(m, y + m * ((y - D) % 2)) for m in range(1, top + 1, 2) for y in roots[m]]
+    # the x mod 2t with x^2 = D (mod 4t), from t = 2 on
+    xs, t = [x for x in (D % 2, D % 2 + 2) if (x * x - D) % 8 == 0], 2
     while t <= top and xs:
         out += [(t * m, x + 2 * t * ((y - x) * u % m))
                 for m in range(1, top // t + 1, 2) if roots[m]
@@ -582,12 +604,14 @@ _DIVISOR_PAIRS_MAX = 10**14
 # Python 3.11)
 _CLASS_GROUP_SCAN_MAX = 2 * 10**7
 
-# OrientedClassGroup.table refuses a group whose table takes more
+# OrientedClassGroup.table refuses a group whose table weighs more
 # compositions than this, h(h+1)/2 for h classes, so h > 631.  One
 # composition with its reduction takes 2.5-4 us for D < 0 (tables of
 # h = 78 to 210), 2.8 us for D = N^2 (h = 630 at 631^2: 0.56 s) and
 # 9-10 us for D = 100000001 (h = 720), so about 2 s at the bound
-# (2-vCPU x86 host, Python 3.11)
+# (2-vCPU x86 host, Python 3.11).  A table of D < 0 composes only its
+# k = h/2 positive classes, k(k+1)/2 compositions, but is still weighed
+# as h(h+1)/2, so the same D are refused
 _TABLE_MAX = 2 * 10**5
 
 # s_plus_subgroup refuses a closure that would take more compositions
@@ -657,16 +681,17 @@ def _half_special_squares(D: int) -> list[tuple[int, int, int]]:
     of each inverse pair {t, bar(t)}, as sorted canonical triples.
 
     The witnesses (a, c) and (c, a) give inverse squares, so only those
-    with |a| <= |c| are squared; a square is kept unless its inverse
-    already is.  The special squares are then {1} + T' + bar(T').
+    with |a| <= |c| are squared, and for D < 0 only those with a > 0:
+    (-a, -c) gives the same square as (a, c).  A square is kept unless its
+    inverse already is.  The special squares are then {1} + T' + bar(T').
     """
     _require_one_mod_4(D)
     squares = {_special_square(a, c, D) for a, c in divisor_pairs((1 - D) // 4)
-               if a * a <= abs(a * c)}
+               if a * a <= abs(a * c) and (a > 0 or D > 0)}
     squares.discard(_identity(D))
     half = set()
     for a, b, c in sorted(squares):
-        if _canonical(a, -b, c, D) not in half:
+        if _canonical_bar(a, b, c, D) not in half:
             half.add((a, b, c))
     return sorted(half)
 

@@ -15,7 +15,8 @@ Canonical representatives per discriminant regime:
 
 * D < 0: Gauss-reduced form |b| <= a <= c with b >= 0 when |b| == a or
   a == c (positive definite); a negative definite form is canonicalized
-  through its negative.
+  through its negative.  The bar (a, -b, c) of a canonical triple is
+  canonical, or the triple itself (``_canonical_bar``), with no reduction.
 * D > 0 not a square: the lexicographically least form on the cycle of
   reduced forms (0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b).
   ``_walk`` is the one function that steps a reduced cycle, in one flat
@@ -450,6 +451,18 @@ def _canonical(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
         m = gcd(a, b, c)
         return m * _square_residue(a // m, b // m, c // m, N // m), N, 0
     return _walk(*_reduce_indefinite(a, b, c, D, N), D, N)
+
+
+def _canonical_bar(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
+    # the canonical coefficients of the bar (a, -b, c) of the canonical
+    # triple (a, b, c).  For D < 0, of either sign and any content, (a, -b, c)
+    # is reduced, and it is canonical unless b = 0, |b| = |a| or a = c: then
+    # the class is its own bar (b = -a is not canonical, so |b| = |a| is b = a)
+    if D > 0:
+        return _canonical(a, -b, c, D)
+    if b == 0 or b == a or a == c:
+        return a, b, c
+    return a, -b, c
 
 
 def is_equivalent(f1: Form, f2: Form) -> bool:

@@ -9,9 +9,12 @@ So the partners of s1 form the coset s1 * T, T the set of special
 squares t^2.  T holds the identity (witness (1, m)) and is closed under
 inversion ((a, c) and (c, a) give inverse squares), so the pairs are
 enumerated with h * |T'| compositions, T' being T without the identity
-and with one of each inverse pair, not by testing pair by pair.  A
+and with one of each inverse pair, not by testing pair by pair.  For
+D < 0 only the h/2 positive classes are composed, (h/2) * |T'|
+compositions, and the pairs of negative classes are their negatives.  A
 single pair query returns the first witness (a, c) in a fixed order
-(|a| ascending, positive before negative).
+(|a| ascending, positive before negative); for D < 0 the witness
+(-a, -c) has the square of (a, c), so only a > 0 is tried.
 
 A realizable pair is *B^4-distinguishable* iff s1 is neither s2 nor
 bar(s2): the double branched covers of the pushed-in surfaces then have
@@ -36,7 +39,7 @@ from .compose import (
     _special_square,
 )
 from .errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, OutOfRange, TooLarge
-from .forms import Form, FormClass, Mat2, _canonical, _ext_gcd
+from .forms import Form, FormClass, Mat2, _canonical_bar, _ext_gcd
 
 if TYPE_CHECKING:  # lattice is imported where it is used, not at start-up
     from .lattice import KleinPair
@@ -45,8 +48,12 @@ Witness = tuple[int, int]
 
 
 def _special_witnesses(D: int) -> list[Witness]:
+    # the divisor pairs of (1 - D)/4, for D < 0 only those with a > 0: the
+    # witness (-a, -c) squares to the class of (a, c) and comes right after
+    # it, so no first witness is skipped
     _require_one_mod_4(D)
-    return divisor_pairs((1 - D) // 4)
+    pairs = divisor_pairs((1 - D) // 4)
+    return [(a, c) for a, c in pairs if a > 0] if D < 0 else pairs
 
 
 def realizable_disjoint_pair(s1: FormClass, s2: FormClass) -> tuple[bool, Witness | None]:
@@ -75,12 +82,13 @@ def prescribed_form_exists(D: int) -> tuple[bool, Witness | None]:
 
     When it does, one of the two disjoint surfaces can be prescribed an
     arbitrary Seifert form of discriminant D.  The square t^2 is primitive,
-    so t^4 != 1 exactly when t^2 != bar(t^2): one reduction, no composition.
+    so t^4 != 1 exactly when t^2 != bar(t^2): one reduction for t^2, and
+    for D > 0 one for its bar, no composition.
     """
     _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
     for a, c in _special_witnesses(D):
-        a2, b2, c2 = _special_square(a, c, D)
-        if _canonical(a2, -b2, c2, D) != (a2, b2, c2):
+        t = _special_square(a, c, D)
+        if _canonical_bar(*t, D) != t:
             return True, (a, c)
     return False, None
 
@@ -161,9 +169,8 @@ def b4_distinguishable(s1: FormClass, s2: FormClass) -> bool:
 
 
 def _b4_distinguishable(t1: tuple[int, int, int], t2: tuple[int, int, int], D: int) -> bool:
-    # b4_distinguishable on canonical coefficients; bar(t2) is canonicalized again
-    a, b, c = t2
-    return t1 != t2 and t1 != _canonical(a, -b, c, D)
+    # b4_distinguishable on canonical coefficients
+    return t1 != t2 and t1 != _canonical_bar(*t2, D)
 
 
 def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> list[dict]:
@@ -177,9 +184,14 @@ def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> li
     T holds the identity and is closed under inversion, and s2 = t^-1 * s1
     exactly when s1 = t * s2, so the pairs are the diagonal and
     {s1, t * s1} for t in T' (T without the identity, one of each inverse
-    pair).  The cost is the class enumeration (once per stratum) plus
-    h * |T'| compositions, h the length of the class list; no composition
-    table and no FormClass is built.
+    pair).  For D < 0 only the positive classes are composed: with N the
+    class of the negative principal form, [-u] = N [bar u], so
+    t * (-u) = -(bar t * u), and T is closed under bar; the pairs of
+    negative classes are the negatives {-u, -v} of the positive pairs
+    {u, v}, with the same flag.  The cost is the class enumeration (once
+    per stratum) plus h * |T'| compositions, h the number of classes
+    composed (half the class list for D < 0); no composition table and no
+    FormClass is built.
     """
     _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
     _require_one_mod_4(D)
@@ -191,14 +203,19 @@ def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> li
                 # m times a canonical triple is canonical
                 classes += [(m * a, m * b, m * c) for a, b, c in _class_triples(D // (m * m))[0]]
             m += 2
+    if D < 0:
+        classes = [t for t in classes if t[0] > 0]
     squares = _half_special_squares(D)
     pairs = {(t1, t1) for t1 in classes}
     for t1 in classes:
         for t in squares:
             t2 = _compose_reduced(t, t1, D)
             pairs.add((t1, t2) if t1 < t2 else (t2, t1))
-    return [{"s1": list(t1), "s2": list(t2), "b4_distinguishable": _b4_distinguishable(t1, t2, D)}
-            for t1, t2 in sorted(pairs)]
+    out = [(t1, t2, _b4_distinguishable(t1, t2, D)) for t1, t2 in pairs]
+    if D < 0:  # negation reverses the order of triples
+        out += [((-a2, -b2, -c2), (-a1, -b1, -c1), flag) for (a1, b1, c1), (a2, b2, c2), flag in out]
+    out.sort()
+    return [{"s1": list(t1), "s2": list(t2), "b4_distinguishable": flag} for t1, t2, flag in out]
 
 
 def feher_klein_pair(p: int, q: int, k: int, n: int) -> tuple[KleinPair, Form, Form]:

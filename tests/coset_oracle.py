@@ -4,12 +4,15 @@ Every class s1 is composed with every distinct special square t^2 (the
 identity and both members of each inverse pair included), and the
 partners at an index >= that of s1 are kept.  This is h * |T|
 compositions; the library makes h * |T'|, T' without the identity and
-with one of each inverse pair.  The tests use it as the reference for
-that reduction.
+with one of each inverse pair, and for D < 0 composes the positive
+classes only.  The B^4-distinguishability flag is taken from its
+definition, s1 not in {s2, bar(s2)}, with bar(s2) reduced from
+(a, -b, c), not read off the closed form of ``forms._canonical_bar``.
+The tests use it as the reference for those reductions.
 """
 
 from qforms.compose import _compose_reduced, class_group, divisor_pairs, special_square
-from qforms.seifert import _b4_distinguishable
+from qforms.forms import form_class
 
 
 def realizable_pairs_over_all_squares(D, include_nonprimitive=False):
@@ -33,7 +36,7 @@ def realizable_pairs_over_all_squares(D, include_nonprimitive=False):
                 out.append({
                     "s1": list(t1),
                     "s2": list(t2),
-                    "b4_distinguishable": _b4_distinguishable(t1, t2, D),
+                    "b4_distinguishable": t1 != t2 and t1 != form_class(t2[0], -t2[1], t2[2]).coeffs(),
                 })
     out.sort(key=lambda d: (d["s1"], d["s2"]))
     return out
