@@ -681,13 +681,13 @@ def _half_special_squares(D: int) -> list[tuple[int, int, int]]:
     of each inverse pair {t, bar(t)}, as sorted canonical triples.
 
     The witnesses (a, c) and (c, a) give inverse squares, so only those
-    with |a| <= |c| are squared, and for D < 0 only those with a > 0:
-    (-a, -c) gives the same square as (a, c).  A square is kept unless its
-    inverse already is.  The special squares are then {1} + T' + bar(T').
+    with |a| <= |c| are squared, and only those with a > 0: for either sign
+    of D, (-a, -c) gives the same square as (a, c).  A square is kept unless
+    its inverse already is.  The special squares are then {1} + T' + bar(T').
     """
     _require_one_mod_4(D)
     squares = {_special_square(a, c, D) for a, c in divisor_pairs((1 - D) // 4)
-               if a * a <= abs(a * c) and (a > 0 or D > 0)}
+               if 0 < a and a * a <= abs(a * c)}
     squares.discard(_identity(D))
     half = set()
     for a, b, c in sorted(squares):

@@ -18,7 +18,9 @@ verified symbolically; with it, [q1]*[q2]*[q3] = 1 whenever defined.
 
 ``cube_from_forms(q1, q2)`` slices the plane of the pair (A(q1), -A(S.q2)),
 whose Plucker coordinates (P01, P02, P03, P12, P13, P23) are, for
-q_i = (a_i, b_i, c_i), ((b1 + b2)/2, a2, -a1, -c1, c2, (b2 - b1)/2).
+q_i = (a_i, b_i, c_i), ((b1 + b2)/2, a2, -a1, -c1, c2, (b2 - b1)/2); the
+entries are the ``lattice._hermite`` coordinates of that plane.
+``cube_law_check`` reduces and composes the slicings as integer triples.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from math import gcd
 
 from .compose import _compose_reduced
 from .errors import MismatchedDiscriminant, NoCoprimePair, NotPairPrimitive, OutOfRange, ZeroDiscriminant, ZeroForm
-from .forms import Form, Mat2, _canonical, content, discriminant
-from .lattice import _plane_from_plucker
+from .forms import Form, _canonical, _canonical_bar, content, discriminant
+from .lattice import _hermite
 
 
 @dataclass(frozen=True)
@@ -46,17 +48,6 @@ class Cube:
         if type(e) is not tuple or len(e) != 8 or not all(type(v) is int for v in e):
             raise OutOfRange(f"a cube holds a tuple of eight ints, not {e!r}")
 
-    @staticmethod
-    def from_layers(m1: Mat2, n1: Mat2) -> "Cube":
-        return Cube((m1.m11, m1.m12, m1.m21, m1.m22, n1.m11, n1.m12, n1.m21, n1.m22))
-
-    def slicing_pairs(self) -> tuple[tuple[Mat2, Mat2], ...]:
-        e000, e001, e010, e011, e100, e101, e110, e111 = self.entries
-        s1 = (Mat2(e000, e001, e010, e011), Mat2(e100, e101, e110, e111))
-        s2 = (Mat2(e000, e010, e100, e110), Mat2(e001, e011, e101, e111))
-        s3 = (Mat2(e000, e100, e001, e101), Mat2(e010, e110, e011, e111))
-        return (s1, s2, s3)
-
     def to_dict(self) -> dict:
         return {"entries": list(self.entries)}
 
@@ -65,44 +56,43 @@ class Cube:
         return Cube(tuple(doc["entries"]))
 
 
-def slicings(cube: Cube) -> tuple[Form, Form, Form]:
-    """The three forms q_i = -det(x M_i - y N_i); equal discriminants.
+def _slicing_triples(e: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    # the coefficients of the three slicing forms of the entries e; for each
+    # slicing pair (M, N), -det(xM - yN) = -det(M) x^2 + tr(M adj(N)) xy - det(N) y^2
+    e0, e1, e2, e3, e4, e5, e6, e7 = e
+    triples = ((e1 * e2 - e0 * e3, e0 * e7 + e3 * e4 - e1 * e6 - e2 * e5, e5 * e6 - e4 * e7),
+               (e2 * e4 - e0 * e6, e0 * e7 + e1 * e6 - e2 * e5 - e3 * e4, e3 * e5 - e1 * e7),
+               (e1 * e4 - e0 * e5, e0 * e7 + e2 * e5 - e1 * e6 - e3 * e4, e3 * e6 - e2 * e7))
+    if (0, 0, 0) in triples:
+        raise ZeroForm("degenerate cube: a slicing vanishes identically")
+    return triples
 
-    For each slicing pair (M, N), -det(xM - yN) = -det(M) x^2
-    + tr(M adj(N)) xy - det(N) y^2, written out in the eight entries.
-    """
-    e0, e1, e2, e3, e4, e5, e6, e7 = cube.entries
-    forms = []
-    for a, b, c in ((e1 * e2 - e0 * e3, e0 * e7 + e3 * e4 - e1 * e6 - e2 * e5, e5 * e6 - e4 * e7),
-                    (e2 * e4 - e0 * e6, e0 * e7 + e1 * e6 - e2 * e5 - e3 * e4, e3 * e5 - e1 * e7),
-                    (e1 * e4 - e0 * e5, e0 * e7 + e2 * e5 - e1 * e6 - e3 * e4, e3 * e6 - e2 * e7)):
-        if a == b == c == 0:
-            raise ZeroForm("degenerate cube: a slicing vanishes identically")
-        forms.append(Form(a, b, c))
-    return tuple(forms)
+
+def slicings(cube: Cube) -> tuple[Form, Form, Form]:
+    """The three forms q_i = -det(x M_i - y N_i); equal discriminants."""
+    t1, t2, t3 = _slicing_triples(cube.entries)
+    return Form(*t1), Form(*t2), Form(*t3)
 
 
 def cube_law_check(cube: Cube) -> bool:
     """Verify [q_j] * [q_k] = bar[q_i] for every coprime-content pair (j, k).
 
     Raises when no pair of the three slicing forms has coprime contents,
-    or when the common discriminant vanishes.  Each slicing is reduced once
-    to its canonical triple, and the pairs compose on those triples.
+    or when the common discriminant vanishes.  Each slicing is reduced once,
+    and the bar side is ``forms._canonical_bar`` of the reduced triple.
     """
-    q1, q2, q3 = slicings(cube)
-    d = discriminant(q1)
-    if d == 0:
+    qs = _slicing_triples(cube.entries)
+    d1, d2, d3 = (b * b - 4 * a * c for a, b, c in qs)
+    if d1 == 0:
         raise ZeroDiscriminant("cube slicings have discriminant 0")
-    if not (discriminant(q2) == discriminant(q3) == d):
+    if not (d2 == d3 == d1):
         raise MismatchedDiscriminant("slicing discriminants disagree")
-    qs = (q1, q2, q3)
-    pairs = [(i, j, k) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-             if gcd(content(qs[j]), content(qs[k])) == 1]
+    m = [gcd(*q) for q in qs]
+    pairs = [(i, j, k) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) if gcd(m[j], m[k]) == 1]
     if not pairs:
         raise NoCoprimePair("no two slicing forms have coprime contents")
-    t = [_canonical(q.a, q.b, q.c, d) for q in qs]
-    return all(_compose_reduced(t[j], t[k], d) == _canonical(t[i][0], -t[i][1], t[i][2], d)
-               for i, j, k in pairs)
+    t = [_canonical(*q, d1) for q in qs]
+    return all(_compose_reduced(t[j], t[k], d1) == _canonical_bar(*t[i], d1) for i, j, k in pairs)
 
 
 def cube_from_forms(q1: Form, q2: Form) -> Cube:
@@ -120,8 +110,9 @@ def cube_from_forms(q1: Form, q2: Form) -> Cube:
         raise MismatchedDiscriminant(f"{d1} != {d2}")
     if gcd(content(q1), content(q2)) != 1:
         raise NotPairPrimitive("a common prime divides the contents of q1 and q2")
-    plane = _plane_from_plucker((q1.b + q2.b) // 2, q2.a, -q1.a, -q1.c, q2.c, (q2.b - q1.b) // 2)
-    return Cube.from_layers(plane.v1, plane.v2)
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = _hermite((q1.b + q2.b) // 2, q2.a, -q1.a, -q1.c, q2.c,
+                                                  (q2.b - q1.b) // 2)
+    return Cube((x0, x3, -x2, x1, y0, y3, -y2, y1))  # the layers v1, v2 of the Hermite basis
 
 
 def reflect(cube: Cube) -> Cube:

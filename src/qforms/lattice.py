@@ -40,16 +40,18 @@ and negates P03 and P12, so L^perp = L_{-a1,a2} has P = (P23, P02, -P03,
 -P12, P13, P01), and a symplectic plane (a2.m11 = P01 + P23 = 1) has
 L^pperp = (P23, -P02, -P03, -P12, -P13, P01).
 
-``_plane_from_plucker`` turns a primitive decomposable P into the
-canonical basis of its plane with no matrix reduction.  Row s of the
+``_hermite`` turns a primitive decomposable P into the coordinates of
+the canonical basis of its plane with no matrix reduction.  Row s of the
 antisymmetric matrix of P is x_s y - y_s x, a vector of the plane.  In
 the Hermite basis (h1, h2) oriented like P, with h1's pivot in column j,
 row j is h1_j h2: h2 is row j over the gcd of its entries, sign
 included.  Row s carries h1 with coefficient -h2_s, so one extended-gcd
 combination of the rows s > j gives h1 up to a multiple of h2, which the
-reduction at h2's pivot fixes.  ``Plane.from_basis`` takes the Plucker
-coordinates of its basis, which its summand check needs anyway, and
-``Plane.contains`` tests x ^ P = 0.
+reduction at h2's pivot fixes.  ``Plane.from_basis`` reuses the Plucker
+coordinates of its summand check, and ``Plane.contains`` tests x ^ P = 0.
+``verify_composition_identity`` reads q_L off the coordinates of
+``_hermite`` and reduces both sides with ``forms._canonical``; it builds
+objects only for the values it returns.
 """
 
 from __future__ import annotations
@@ -57,23 +59,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import compose
+from .compose import _compose
 from .errors import (MismatchedDeterminant, NotASummand, NotGross, NotPairPrimitive, NotSymplectic,
                      ZeroDeterminant, ZeroDiscriminant)
-from .forms import Form, FormClass, Mat2, bar as form_bar, content, _require_sl2
-
-
-MAT_J = Mat2(1, 0, 0, -1)
+from .forms import Form, FormClass, Mat2, _canonical, _require_sl2
 
 
 def quad_q(x: Mat2, y: Mat2) -> int:
     """The symmetric bilinear form Q(x, y) = tr(x bar(y))."""
-    return (x @ y.bar()).trace()
+    return x.m11 * y.m22 - x.m12 * y.m21 - x.m21 * y.m12 + x.m22 * y.m11
 
 
 def sympl_theta(x: Mat2, y: Mat2) -> int:
-    """The symplectic form theta(x, y) = tr(x j bar(y))."""
-    return (x @ MAT_J @ y.bar()).trace()
+    """The symplectic form theta(x, y) = tr(x j bar(y)), j = diag(1, -1)."""
+    return x.m11 * y.m22 + x.m12 * y.m21 - x.m21 * y.m12 - x.m22 * y.m11
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +112,14 @@ def _plucker(v1: Mat2, v2: Mat2) -> tuple[int, int, int, int, int, int]:
             x1 * y2 - x2 * y1, x1 * y3 - x3 * y1, x2 * y3 - x3 * y2)
 
 
-def _plane_from_plucker(p01: int, p02: int, p03: int, p12: int, p13: int, p23: int) -> "Plane":
-    """The canonical Plane whose oriented basis has these Plucker
-    coordinates, which must be primitive and satisfy the Plucker relation.
-    """
+def _hermite(p01: int, p02: int, p03: int, p12: int, p13: int, p23: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinates (h1, h2) of the canonical basis of the plane of P,
+    which must be primitive and satisfy the Plucker relation."""
     rows = ((0, p01, p02, p03), (-p01, 0, p12, p13), (-p02, -p12, 0, p23), (-p03, -p13, -p23, 0))
     j = 0 if p01 or p02 or p03 else 1 if p12 or p13 else 2
-    d = gcd(*rows[j])
-    h2 = [v // d for v in rows[j]]
+    r0, r1, r2, r3 = rows[j]
+    d = gcd(r0, r1, r2, r3)
+    h2 = r0 // d, r1 // d, r2 // d, r3 // d
     # sum c_s row_s over s > j has h1-coefficient -sum c_s h2_s; g tracks
     # that sum and acc the combination, until g = +-1
     g, acc, pivot = 0, None, None
@@ -138,12 +137,23 @@ def _plane_from_plucker(p01: int, p02: int, p03: int, p12: int, p13: int, p23: i
             g, acc = g1, [x * u + y * v for u, v in zip(acc, rows[s])]
         if g in (1, -1):
             break
-    h1 = [-g * v for v in acc]
-    m = abs(h2[pivot])
-    q = (h1[pivot] - h1[pivot] % m) // h2[pivot]
-    if q:
-        h1 = [u - q * v for u, v in zip(h1, h2)]
-    return Plane(Mat2.from_coords(*h1), Mat2.from_coords(*h2))
+    # h1 = -g acc, reduced at the pivot of h2 into [0, |h2[pivot]|)
+    top, m = -g * acc[pivot], h2[pivot]
+    q = (top - top % abs(m)) // m
+    return (-g * acc[0] - q * h2[0], -g * acc[1] - q * h2[1], -g * acc[2] - q * h2[2],
+            -g * acc[3] - q * h2[3]), h2
+
+
+def _plane_from_plucker(p01: int, p02: int, p03: int, p12: int, p13: int, p23: int) -> "Plane":
+    """The canonical Plane of ``_hermite``."""
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = _hermite(p01, p02, p03, p12, p13, p23)
+    return Plane(Mat2(x0, x3, -x2, x1), Mat2(y0, y3, -y2, y1))
+
+
+def _q_l(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int]:
+    # (det(v1), tr(v1 bar(v2)), det(v2)) of the basis with coordinates x, y
+    return (x[0] * x[1] + x[2] * x[3], x[0] * y[1] + x[1] * y[0] + x[2] * y[3] + x[3] * y[2],
+            y[0] * y[1] + y[2] * y[3])
 
 
 @dataclass(frozen=True)
@@ -193,8 +203,7 @@ class KleinPair:
 
 def q_of_plane(plane: Plane) -> Form:
     """q_L(x, y) = det(v1) x^2 + tr(v1 bar(v2)) xy + det(v2) y^2."""
-    v1, v2 = plane.basis()
-    return Form(v1.det(), (v1 @ v2.bar()).trace(), v2.det())
+    return Form(*_q_l(plane.v1.coords(), plane.v2.coords()))
 
 
 def _nondegenerate_plucker(plane: Plane) -> tuple[int, int, int, int, int, int]:
@@ -214,28 +223,28 @@ def klein_map(plane: Plane) -> KleinPair:
                      Mat2(p01 + p23, -2 * p13, 2 * p02, -p01 - p23))
 
 
-def _validate_pair(p: KleinPair) -> None:
-    if not (is_gross(p.a1) and is_gross(p.a2)):
+def _pair_plucker(p: KleinPair) -> tuple[int, int, int, int, int, int]:
+    """Validate the pair; the Plucker coordinates that it determines linearly."""
+    a1, a2 = p.a1, p.a2
+    p1, q1, r1, s1, p2, q2, r2, s2 = a1.m11, a1.m12, a1.m21, a1.m22, a2.m11, a2.m12, a2.m21, a2.m22
+    if p1 + s1 or p2 + s2 or q1 % 2 or r1 % 2 or q2 % 2 or r2 % 2:
         raise NotGross("Klein vectors must lie in the Gross lattice")
-    d1, d2 = p.a1.det(), p.a2.det()
+    d1, d2 = p1 * s1 - q1 * r1, p2 * s2 - q2 * r2
     if d1 != d2:
         raise MismatchedDeterminant(f"det(a1) = {d1} != {d2} = det(a2)")
     if d1 == 0:
         raise ZeroDeterminant("Klein vectors must have nonzero determinant")
-    if gcd(gross_content(p.a1), gross_content(p.a2)) != 1:
+    if gcd(p1, q1 // 2, r1 // 2, p2, q2 // 2, r2 // 2) != 1:
         raise NotPairPrimitive("a common prime divides both Klein vectors")
-
-
-def klein_inverse(p: KleinPair) -> Plane:
-    """Psi: the oriented solution plane of a1 x = x a2, from the Plucker
-    coordinates that the pair determines linearly."""
-    _validate_pair(p)
-    (p1, q1), (r1, _) = p.a1.rows()
-    (p2, q2), (r2, _) = p.a2.rows()
     plucker = ((p1 + p2) // 2, r2 // 2, -q1 // 2, r1 // 2, -q2 // 2, (p2 - p1) // 2)
     if gcd(*plucker) != 1:  # P divides p1, p2, q1/2, ..., so pair-primitivity forbids it
         raise AssertionError(f"Plucker coordinates {plucker} of {p} are not primitive")
-    return _plane_from_plucker(*plucker)
+    return plucker
+
+
+def klein_inverse(p: KleinPair) -> Plane:
+    """Psi: the oriented solution plane of a1 x = x a2, read off its P."""
+    return _plane_from_plucker(*_pair_plucker(p))
 
 
 def transform_plane(plane: Plane, g1: Mat2, g2: Mat2) -> Plane:
@@ -245,9 +254,7 @@ def transform_plane(plane: Plane, g1: Mat2, g2: Mat2) -> Plane:
     """
     _require_sl2(g1)
     _require_sl2(g2)
-    g2inv = g2.bar()
-    v1, v2 = plane.basis()
-    return Plane.from_basis(g1 @ v1 @ g2inv, g1 @ v2 @ g2inv)
+    return Plane.from_basis(g1 @ plane.v1 @ g2.bar(), g1 @ plane.v2 @ g2.bar())
 
 
 def orth_complement(plane: Plane) -> Plane:
@@ -286,13 +293,15 @@ def verify_composition_identity(p: KleinPair) -> tuple[FormClass, FormClass, boo
     Returns both classes and a flag that also requires
     content(q_L) == content(a1) * content(a2).
     """
-    plane = klein_inverse(p)  # validates the pair first
-    ql = q_of_plane(plane)
-    via_plane = FormClass.of(ql)
-    q1, q2 = form_of(p.a1), form_of(p.a2)
-    via_compose = FormClass.of(compose.dirichlet_compose(form_bar(q1), q2))
-    ok = via_plane == via_compose and content(ql) == content(q1) * content(q2)
-    return via_plane, via_compose, ok
+    a, b, c = _q_l(*_hermite(*_pair_plucker(p)))
+    dl = b * b - 4 * a * c
+    a1, a2 = p.a1, p.a2
+    d = a1.m11 * a1.m11 + a1.m12 * a1.m21  # disc(q_a1) = -det(a1)
+    via_plane = _canonical(a, b, c, dl)
+    via_compose = _canonical(*_compose(a1.m12 // 2, -a1.m11, -a1.m21 // 2,
+                                       a2.m12 // 2, a2.m11, -a2.m21 // 2, d), d)
+    ok = (via_plane, dl) == (via_compose, d) and gcd(a, b, c) == gross_content(a1) * gross_content(a2)
+    return FormClass(Form(*via_plane), dl), FormClass(Form(*via_compose), d), ok
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ and with one of each inverse pair, not by testing pair by pair.  For
 D < 0 only the h/2 positive classes are composed, (h/2) * |T'|
 compositions, and the pairs of negative classes are their negatives.  A
 single pair query returns the first witness (a, c) in a fixed order
-(|a| ascending, positive before negative); for D < 0 the witness
-(-a, -c) has the square of (a, c), so only a > 0 is tried.
+(|a| ascending, positive before negative); the witness (-a, -c) has the
+square of (a, c) and comes right after it, so only a > 0 is tried.
 
 A realizable pair is *B^4-distinguishable* iff s1 is neither s2 nor
 bar(s2): the double branched covers of the pushed-in surfaces then have
@@ -48,12 +48,11 @@ Witness = tuple[int, int]
 
 
 def _special_witnesses(D: int) -> list[Witness]:
-    # the divisor pairs of (1 - D)/4, for D < 0 only those with a > 0: the
+    # the divisor pairs of (1 - D)/4 with a > 0: for either sign of D the
     # witness (-a, -c) squares to the class of (a, c) and comes right after
     # it, so no first witness is skipped
     _require_one_mod_4(D)
-    pairs = divisor_pairs((1 - D) // 4)
-    return [(a, c) for a, c in pairs if a > 0] if D < 0 else pairs
+    return [(a, c) for a, c in divisor_pairs((1 - D) // 4) if a > 0]
 
 
 def realizable_disjoint_pair(s1: FormClass, s2: FormClass) -> tuple[bool, Witness | None]:

@@ -14,23 +14,31 @@ complements, the cube recipe and the cube symmetries took before they
 were read off the Plucker coordinates: Phi of the plane, a change of
 the pair, and Psi back (``lattice.klein_map`` and ``lattice.klein_inverse``,
 with full pair validation); and the cube maps written entry by entry.
+
+The last part is the object path that ``lattice`` and ``cube`` took
+before they read q_L, the composition identity, the cube of two forms
+and the cube law off integer coordinates: Mat2 products for q_L and the
+slicing pairs, ``FormClass.of`` and ``class_compose`` for the classes.
 """
 
 from math import gcd
 
 from hnf_oracle import kernel_basis, row_hnf_xgcd
 from qforms import lattice
+from qforms.compose import class_compose, dirichlet_compose
 from qforms.cube import Cube
 from qforms.errors import (
     MismatchedDiscriminant,
+    NoCoprimePair,
     NotASummand,
+    NotPairPrimitive,
     NotSymplectic,
     OutOfRange,
     ZeroDeterminant,
     ZeroDiscriminant,
 )
-from qforms.forms import GEN_S, Mat2, act, discriminant
-from qforms.lattice import KleinPair, Plane, _validate_pair, gross, q_of_plane
+from qforms.forms import GEN_S, Form, FormClass, Mat2, act, bar, content, discriminant
+from qforms.lattice import KleinPair, Plane, _pair_plucker, form_of, gross
 
 
 def plane_from_basis(v1, v2):
@@ -103,7 +111,7 @@ def orientation_sign(basis, ref):
 
 def klein_inverse(p):
     """The oriented solution plane of a1 x = x a2, by an exact kernel."""
-    _validate_pair(p)
+    _pair_plucker(p)
     kern = kernel_basis(map_matrix(p.a1, p.a2), hnf=row_hnf_xgcd)
     if len(kern) != 2:
         raise ZeroDeterminant(f"solution lattice has rank {len(kern)}, expected 2")
@@ -174,3 +182,71 @@ def negate_layer(cube, axis, side):
     e = cube.entries
     return _cube_from_entry_fn(
         lambda i, j, k: -e[4 * i + 2 * j + k] if coord(i, j, k) == side else e[4 * i + 2 * j + k])
+
+
+# ---------------------------------------------------------------------------
+# The object path of q_L, the composition identity and the cube
+
+
+def q_of_plane(plane):
+    """q_L(x, y) = det(v1) x^2 + tr(v1 bar(v2)) xy + det(v2) y^2."""
+    v1, v2 = plane.basis()
+    return Form(v1.det(), (v1 @ v2.bar()).trace(), v2.det())
+
+
+def verify_composition_identity(p):
+    """[q_L] of the plane of p, and bar[q_a1] * [q_a2] by dirichlet_compose."""
+    ql = q_of_plane(lattice.klein_inverse(p))  # validates the pair first
+    via_plane = FormClass.of(ql)
+    q1, q2 = form_of(p.a1), form_of(p.a2)
+    via_compose = FormClass.of(dirichlet_compose(bar(q1), q2))
+    ok = via_plane == via_compose and content(ql) == content(q1) * content(q2)
+    return via_plane, via_compose, ok
+
+
+def cube_from_layers(m1, n1):
+    """The cube with e(0, j, k) = m1[j][k] and e(1, j, k) = n1[j][k]."""
+    return Cube((m1.m11, m1.m12, m1.m21, m1.m22, n1.m11, n1.m12, n1.m21, n1.m22))
+
+
+def cube_from_plane(q1, q2):
+    """cube_from_forms through the Plane of its Plucker coordinates."""
+    d1, d2 = discriminant(q1), discriminant(q2)
+    if d1 == 0 or d2 == 0:
+        raise ZeroDiscriminant("cube construction requires nonzero discriminants")
+    if d1 != d2:
+        raise MismatchedDiscriminant(f"{d1} != {d2}")
+    if gcd(content(q1), content(q2)) != 1:
+        raise NotPairPrimitive("a common prime divides the contents of q1 and q2")
+    plane = lattice._plane_from_plucker((q1.b + q2.b) // 2, q2.a, -q1.a, -q1.c, q2.c, (q2.b - q1.b) // 2)
+    return cube_from_layers(plane.v1, plane.v2)
+
+
+def slicing_pairs(cube):
+    """The pairs (M_i, N_i) of the three slicings, as in the cube module docstring."""
+    e000, e001, e010, e011, e100, e101, e110, e111 = cube.entries
+    s1 = (Mat2(e000, e001, e010, e011), Mat2(e100, e101, e110, e111))
+    s2 = (Mat2(e000, e010, e100, e110), Mat2(e001, e011, e101, e111))
+    s3 = (Mat2(e000, e100, e001, e101), Mat2(e010, e110, e011, e111))
+    return (s1, s2, s3)
+
+
+def slicings(cube):
+    """-det(x M - y N) = -det(M) x^2 + tr(M bar(N)) xy - det(N) y^2 per pair."""
+    return tuple(Form(-m.det(), (m @ n.bar()).trace(), -n.det()) for m, n in slicing_pairs(cube))
+
+
+def cube_law_check(cube):
+    """[q_j] * [q_k] == bar[q_i] on classes, for every coprime-content pair."""
+    qs = slicings(cube)
+    d = discriminant(qs[0])
+    if d == 0:
+        raise ZeroDiscriminant("cube slicings have discriminant 0")
+    if not (discriminant(qs[1]) == discriminant(qs[2]) == d):
+        raise MismatchedDiscriminant("slicing discriminants disagree")
+    pairs = [(i, j, k) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+             if gcd(content(qs[j]), content(qs[k])) == 1]
+    if not pairs:
+        raise NoCoprimePair("no two slicing forms have coprime contents")
+    return all(class_compose(FormClass.of(qs[j]), FormClass.of(qs[k])) == FormClass.of(bar(qs[i]))
+               for i, j, k in pairs)

@@ -160,21 +160,25 @@ class TestSeifert:
 
     def test_pairs_budget_before_witness_search(self, capsys, monkeypatch):
         # -39999999999999 is past the class_group budget: no divisor of
-        # (1 - D)/4 = 10^13 is tried before it exits
+        # (1 - D)/4 = 10^13 is tried before it exits.  compose lists the
+        # witnesses of the coset step, so its binding is refused too
         def refuse(m):
             raise RuntimeError(f"divisor_pairs({m}) was called")
 
         monkeypatch.setattr("qforms.seifert.divisor_pairs", refuse)
+        monkeypatch.setattr("qforms.compose.divisor_pairs", refuse)
         code, out, _ = run_cli(capsys, "seifert", "pairs", "--json", "--", "-39999999999999")
         assert code == 1 and json.loads(out)["error"] == "too-large"
 
     def test_pairs_budget_before_cycle_walk(self, capsys, monkeypatch):
         # 584637511777 is past the class_group budget, and its principal
-        # cycle has 485,404 forms: the budget refuses before any walk
+        # cycle has 485,404 forms: the budget refuses before any walk.
+        # compose binds _walk by name, so both bindings are refused
         def refuse(*args, **kwargs):
             raise RuntimeError("a cycle was walked")
 
         monkeypatch.setattr("qforms.forms._walk", refuse)
+        monkeypatch.setattr("qforms.compose._walk", refuse)
         code, out, _ = run_cli(capsys, "seifert", "pairs", "--json", "584637511777")
         assert code == 1 and json.loads(out)["error"] == "too-large"
 

@@ -34,7 +34,7 @@ def primitive_pair(rng, bound=6):
 class TestSlicings:
     def test_cube_from_worked_plane(self):
         v1, v2 = PLANE_23.basis()
-        box = Cube.from_layers(v1, v2)
+        box = klein_oracle.cube_from_layers(v1, v2)
         q1, q2, q3 = slicings(box)
         ql = q_of_plane(PLANE_23)
         assert q1 == neg(bar(ql))
@@ -102,7 +102,7 @@ class TestCubeFromForms:
         for _ in range(40):
             g1 = Mat2.from_rows(random_sl2(rng).rows())
             g2 = Mat2.from_rows(random_sl2(rng).rows())
-            box = Cube.from_layers(g1 @ v1 @ g2.bar(), g1 @ v2 @ g2.bar())
+            box = klein_oracle.cube_from_layers(g1 @ v1 @ g2.bar(), g1 @ v2 @ g2.bar())
             assert cube_law_check(box)
 
 
@@ -120,7 +120,7 @@ class TestSymmetries:
 
     def test_negate_layer_raw_pattern(self):
         v1, v2 = PLANE_23.basis()
-        box = Cube.from_layers(v1, v2)
+        box = klein_oracle.cube_from_layers(v1, v2)
         base = slicings(box)
         for axis in (1, 2, 3):
             for side in (0, 1):
@@ -140,7 +140,7 @@ class TestSymmetries:
             assert cube_law_check(reflect(box))
 
     def test_negate_layer_rejects_bad_axis_or_side(self):
-        box = Cube.from_layers(*PLANE_23.basis())
+        box = klein_oracle.cube_from_layers(*PLANE_23.basis())
         for axis, side in ((0, 0), (4, 0), (1, 2)):
             with pytest.raises(OutOfRange) as err:
                 negate_layer(box, axis, side)
@@ -167,7 +167,8 @@ class TestSlicingsFromEntries:
         # (M, N), -det(M) x^2 + tr(M adj(N)) xy - det(N) y^2, and the
         # degenerate cubes raise ZeroForm
         box = Cube(entries)
-        expected = [(-m.det(), (m @ n.bar()).trace(), -n.det()) for m, n in box.slicing_pairs()]
+        expected = [(-m.det(), (m @ n.bar()).trace(), -n.det())
+                    for m, n in klein_oracle.slicing_pairs(box)]
         if (0, 0, 0) in expected:
             with pytest.raises(ZeroForm):
                 slicings(box)
