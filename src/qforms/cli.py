@@ -146,7 +146,6 @@ def _cmd_special_squares(args) -> tuple[dict, str]:
         sq = compose.special_square(s.a, s.c)
         entries.append({"witness": [s.a, s.c], "class": list(s.cls.coeffs()),
                         "square": list(sq.coeffs())})
-    entries.sort(key=lambda e: (abs(e["witness"][0]), e["witness"][0] < 0, e["witness"]))
     doc = {"disc": disc, "squares": entries}
     return doc, "\n".join(
         f"({e['witness'][0]},{e['witness'][1]}) [{_line(e['class'])}]^2 = [{_line(e['square'])}]"

@@ -57,10 +57,13 @@ the helper ``class_compose`` wraps; a ``FormClass`` is built only for a
 value a public function returns.  ``table`` composes each unordered pair
 once, and for D < 0 only the pairs of positive classes: the negative half
 of the table follows from the bar and the negation of the indices.  It
-raises TooLarge past ``_TABLE_MAX`` compositions.  ``s_plus_subgroup``
-and the coset step compose with the special squares of
-``_half_special_squares`` only: no identity, one of each inverse pair,
-and the coset step composes only the positive classes of D < 0;
+raises TooLarge past ``_TABLE_MAX`` compositions.  ``_special_witnesses``
+is the one list of special witnesses: the divisor pairs (a, c) of
+(1 - D)/4 with a > 0, which the ``seifert`` queries search in order.
+``_half_special_squares`` squares those with a^2 <= |ac| into T'.
+``s_plus_subgroup`` and the coset step compose with T' only: no
+identity, one of each inverse pair, and the coset step composes only
+the positive classes of D < 0;
 ``s_plus_subgroup`` raises TooLarge before its closure would take
 more than ``_S_PLUS_MAX`` compositions.  Every function here is pure:
 nothing reads or writes files.
@@ -68,7 +71,7 @@ nothing reads or writes files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import (
@@ -307,14 +310,13 @@ class OrientedClassGroup:
     disc: int
     elements: list[FormClass]
     identity_index: int
-    _table: list[list[int]] | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def table(self) -> list[list[int]]:
-        """The composition table as an index matrix, computed lazily.
+        """The composition table as an index matrix.
 
         The group is abelian, so each unordered pair is composed once:
         h(h+1)/2 compositions for h classes.  For D < 0 only the k = h/2
@@ -325,32 +327,30 @@ class OrientedClassGroup:
         before anything is allocated when h(h+1)/2 exceeds _TABLE_MAX, for
         either sign of D.
         """
-        if self._table is None:
-            D = self.disc
-            h = len(self.elements)
-            if h * (h + 1) // 2 > _TABLE_MAX:
-                raise TooLarge(f"composition tables are built only up to {_TABLE_MAX} compositions, "
-                               f"D = {D} with {h} classes needs {h * (h + 1) // 2}")
-            triples = [s.coeffs() for s in self.elements]
-            idx = {t: i for i, t in enumerate(triples)}
-            table = [[0] * h for _ in range(h)]
-            # sorted, the negative classes come first: triples[h-1-i] = -triples[i]
-            k = h // 2 if D < 0 else 0
+        D = self.disc
+        h = len(self.elements)
+        if h * (h + 1) // 2 > _TABLE_MAX:
+            raise TooLarge(f"composition tables are built only up to {_TABLE_MAX} compositions, "
+                           f"D = {D} with {h} classes needs {h * (h + 1) // 2}")
+        triples = [s.coeffs() for s in self.elements]
+        idx = {t: i for i, t in enumerate(triples)}
+        table = [[0] * h for _ in range(h)]
+        # sorted, the negative classes come first: triples[h-1-i] = -triples[i]
+        k = h // 2 if D < 0 else 0
+        for i in range(k, h):
+            x = triples[i]
+            for j in range(i, h):
+                table[i][j] = table[j][i] = idx[_compose_reduced(x, triples[j], D)]
+        if D < 0:
+            bar = [idx[_canonical_bar(*t, D)] for t in triples]
+            n = h - 1
             for i in range(k, h):
-                x = triples[i]
-                for j in range(i, h):
-                    table[i][j] = table[j][i] = idx[_compose_reduced(x, triples[j], D)]
-            if D < 0:
-                bar = [idx[_canonical_bar(*t, D)] for t in triples]
-                n = h - 1
-                for i in range(k, h):
-                    row, neg_row, bar_row = table[i], table[n - i], table[bar[i]]
-                    for j in range(k, h):
-                        neg_row[j] = n - row[bar[j]]
-                        row[n - j] = n - bar_row[j]
-                        neg_row[n - j] = bar_row[bar[j]]
-            self._table = table
-        return self._table
+                row, neg_row, bar_row = table[i], table[n - i], table[bar[i]]
+                for j in range(k, h):
+                    neg_row[j] = n - row[bar[j]]
+                    row[n - j] = n - bar_row[j]
+                    neg_row[n - j] = bar_row[bar[j]]
+        return table
 
     def element_order(self, s: FormClass) -> int:
         if s.disc != self.disc:
@@ -676,18 +676,25 @@ def _require_one_mod_4(D: int) -> None:
         raise NotOneMod4(f"{D} is not a nonzero integer = 1 mod 4")
 
 
+def _special_witnesses(D: int) -> list[tuple[int, int]]:
+    # the divisor pairs of (1 - D)/4 with a > 0: for either sign of D the
+    # witness (-a, -c) squares to the class of (a, c) and comes right after
+    # it, so no first witness is skipped
+    _require_one_mod_4(D)
+    return [(a, c) for a, c in divisor_pairs((1 - D) // 4) if a > 0]
+
+
 def _half_special_squares(D: int) -> list[tuple[int, int, int]]:
     """T': the distinct special squares of D other than the identity, one
     of each inverse pair {t, bar(t)}, as sorted canonical triples.
 
-    The witnesses (a, c) and (c, a) give inverse squares, so only those
-    with |a| <= |c| are squared, and only those with a > 0: for either sign
-    of D, (-a, -c) gives the same square as (a, c).  A square is kept unless
-    its inverse already is.  The special squares are then {1} + T' + bar(T').
+    The squares come from ``_special_witnesses``, which has a > 0 only:
+    for either sign of D, (-a, -c) gives the same square as (a, c).  The
+    witnesses (a, c) and (c, a) give inverse squares, so only those with
+    a^2 <= |ac| are squared.  A square is kept unless its inverse already
+    is.  The special squares are then {1} + T' + bar(T').
     """
-    _require_one_mod_4(D)
-    squares = {_special_square(a, c, D) for a, c in divisor_pairs((1 - D) // 4)
-               if 0 < a and a * a <= abs(a * c)}
+    squares = {_special_square(a, c, D) for a, c in _special_witnesses(D) if a * a <= abs(a * c)}
     squares.discard(_identity(D))
     half = set()
     for a, b, c in sorted(squares):
@@ -705,7 +712,6 @@ def s_plus_subgroup(D: int) -> list[FormClass]:
     level; TooLarge is raised before a level would take the count past
     _S_PLUS_MAX.
     """
-    _require_one_mod_4(D)
     generators = _half_special_squares(D)
     subgroup = {_identity(D)}
     frontier = list(subgroup)

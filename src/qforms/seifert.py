@@ -11,10 +11,12 @@ inversion ((a, c) and (c, a) give inverse squares), so the pairs are
 enumerated with h * |T'| compositions, T' being T without the identity
 and with one of each inverse pair, not by testing pair by pair.  For
 D < 0 only the h/2 positive classes are composed, (h/2) * |T'|
-compositions, and the pairs of negative classes are their negatives.  A
-single pair query returns the first witness (a, c) in a fixed order
-(|a| ascending, positive before negative); the witness (-a, -c) has the
-square of (a, c) and comes right after it, so only a > 0 is tried.
+compositions, and the pairs of negative classes are their negatives.
+The witness list and T' come from ``compose`` (``_special_witnesses``,
+``_half_special_squares``).  The three existence queries share one
+search, ``_first_witness``, which returns the first witness (a, c) in
+``divisor_pairs`` order (|a| ascending) with a > 0: the witness (-a, -c)
+has the square of (a, c) and comes right after it.
 
 A realizable pair is *B^4-distinguishable* iff s1 is neither s2 nor
 bar(s2): the double branched covers of the pushed-in surfaces then have
@@ -24,10 +26,9 @@ non-isometric intersection forms.
 from __future__ import annotations
 
 from math import isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .compose import (
-    divisor_pairs,
     identity_class,
     phi_n,
     _check_discriminant,
@@ -37,6 +38,7 @@ from .compose import (
     _identity,
     _require_one_mod_4,
     _special_square,
+    _special_witnesses,
 )
 from .errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, OutOfRange, TooLarge
 from .forms import Form, FormClass, Mat2, _canonical_bar, _ext_gcd
@@ -47,12 +49,12 @@ if TYPE_CHECKING:  # lattice is imported where it is used, not at start-up
 Witness = tuple[int, int]
 
 
-def _special_witnesses(D: int) -> list[Witness]:
-    # the divisor pairs of (1 - D)/4 with a > 0: for either sign of D the
-    # witness (-a, -c) squares to the class of (a, c) and comes right after
-    # it, so no first witness is skipped
-    _require_one_mod_4(D)
-    return [(a, c) for a, c in divisor_pairs((1 - D) // 4) if a > 0]
+def _first_witness(D: int, keep: Callable[[tuple[int, int, int]], bool]) -> tuple[bool, Witness | None]:
+    # the first special witness (a, c) whose canonical square t has keep(t)
+    for a, c in _special_witnesses(D):
+        if keep(_special_square(a, c, D)):
+            return True, (a, c)
+    return False, None
 
 
 def realizable_disjoint_pair(s1: FormClass, s2: FormClass) -> tuple[bool, Witness | None]:
@@ -61,19 +63,13 @@ def realizable_disjoint_pair(s1: FormClass, s2: FormClass) -> tuple[bool, Witnes
         raise MismatchedDiscriminant(f"{s1.disc} != {s2.disc}")
     D = s1.disc
     t1, t2 = s1.coeffs(), s2.coeffs()
-    for a, c in _special_witnesses(D):
-        if _compose_reduced(_special_square(a, c, D), t1, D) == t2:
-            return True, (a, c)
-    return False, None
+    return _first_witness(D, lambda t: _compose_reduced(t, t1, D) == t2)
 
 
 def nonisotopic_exists(D: int) -> tuple[bool, Witness | None]:
     """Is some special square non-trivial (equivalently, S+_D non-trivial)?"""
     ident = _identity(D)
-    for a, c in _special_witnesses(D):
-        if _special_square(a, c, D) != ident:
-            return True, (a, c)
-    return False, None
+    return _first_witness(D, lambda t: t != ident)
 
 
 def prescribed_form_exists(D: int) -> tuple[bool, Witness | None]:
@@ -85,11 +81,7 @@ def prescribed_form_exists(D: int) -> tuple[bool, Witness | None]:
     for D > 0 one for its bar, no composition.
     """
     _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
-    for a, c in _special_witnesses(D):
-        t = _special_square(a, c, D)
-        if _canonical_bar(*t, D) != t:
-            return True, (a, c)
-    return False, None
+    return _first_witness(D, lambda t: _canonical_bar(*t, D) != t)
 
 
 def _prime_power_k2(m: int) -> bool:

@@ -160,12 +160,11 @@ class TestSeifert:
 
     def test_pairs_budget_before_witness_search(self, capsys, monkeypatch):
         # -39999999999999 is past the class_group budget: no divisor of
-        # (1 - D)/4 = 10^13 is tried before it exits.  compose lists the
-        # witnesses of the coset step, so its binding is refused too
+        # (1 - D)/4 = 10^13 is tried before it exits.  compose lists every
+        # witness, so its binding is the one refused
         def refuse(m):
             raise RuntimeError(f"divisor_pairs({m}) was called")
 
-        monkeypatch.setattr("qforms.seifert.divisor_pairs", refuse)
         monkeypatch.setattr("qforms.compose.divisor_pairs", refuse)
         code, out, _ = run_cli(capsys, "seifert", "pairs", "--json", "--", "-39999999999999")
         assert code == 1 and json.loads(out)["error"] == "too-large"

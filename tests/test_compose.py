@@ -254,6 +254,14 @@ class TestClassGroup:
         assert g.element_order(form_class(3, 7, -8)) == 4
         assert form_class(6, 5, -5) in g.elements
 
+    def test_table_leaves_group_equal(self):
+        # table() keeps no cache: a group whose table was built still
+        # equals a fresh one
+        for D in (-23, 905):
+            g = class_group(D)
+            g.table()
+            assert g == class_group(D), D
+
     def test_rejects_non_discriminant(self):
         with pytest.raises(NotADiscriminant):
             class_group(7)

@@ -1,16 +1,18 @@
-"""The Seifert witness searches try only a > 0, for either sign of D.
+"""The Seifert witness search tries only a > 0, for either sign of D.
 
 (-a, -c) squares to the class of (a, c) and comes right after it in
-``divisor_pairs`` order, so the answers and first witnesses agree with
-the searches over every divisor pair in ``witness_oracle.py``.
+``divisor_pairs`` order, so the answers and first witnesses of the one
+search, ``seifert._first_witness``, agree with the searches over every
+divisor pair in ``witness_oracle.py``, for every D = 1 mod 4 with
+|D| <= 10^4.
 """
 
 import witness_oracle
 from qforms import compose, seifert
 
-# every D = 1 mod 4 with 5 <= D <= 10^4, and D = 1, whose divisor pairs
-# (0, 1) and (0, -1) have a = 0
-DISCRIMINANTS = [1] + list(range(5, 10**4 + 1, 4))
+# every D = 1 mod 4 with |D| <= 10^4; the divisor pairs (0, 1) and
+# (0, -1) of D = 1 have a = 0
+DISCRIMINANTS = list(range(-9999, 0, 4)) + [1] + list(range(5, 10**4 + 1, 4))
 
 
 def test_existence_answers_match_all_witnesses():

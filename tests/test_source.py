@@ -60,3 +60,21 @@ def test_no_unused_private_names_in_library():
             found += [f"{name}:{node.lineno} {d}" for d in defined
                       if d.startswith("_") and not d.startswith("__") and d not in used]
     assert not found, f"unused private names in the library: {found}"
+
+
+def test_no_private_dataclass_fields_in_library():
+    # a result type carries no hidden state: a field named _x would still
+    # take part in __eq__, and the benchmark's output digests leave it out
+    found = []
+    for path in sorted(Path(qforms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if "dataclass" not in [getattr(d, "attr", getattr(d, "id", None)) for d in decorators]:
+                continue
+            fields = [f.target.id for f in node.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            found += [f"{path.name} {node.name}.{name}" for name in fields if name.startswith("_")]
+    assert not found, f"private dataclass fields in the library: {found}"
