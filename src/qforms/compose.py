@@ -448,8 +448,11 @@ def _roots_mod_4a(D: int, top: int) -> list[tuple[int, int]]:
             q, n = p, m // p
             while n % p == 0:
                 q, n = q * p, n // p
-            u = pow(q, -1, n)
-            roots[m] = [x + q * ((y - x) * u % n) for x in roots[q] for y in roots[n]]
+            if roots[q] and roots[n]:
+                u = pow(q, -1, n)
+                roots[m] = [x + q * ((y - x) * u % n) for x in roots[q] for y in roots[n]]
+            else:
+                roots[m] = []
     out = [(m, y + m * ((y - D) % 2)) for m in range(1, top + 1, 2) for y in roots[m]]
     # the x mod 2t with x^2 = D (mod 4t), from t = 2 on
     xs, t = [x for x in (D % 2, D % 2 + 2) if (x * x - D) % 8 == 0], 2

@@ -205,20 +205,18 @@ def neg(f: Form) -> Form:
 def _reduce_positive_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
     # Gauss reduction; every step is a proper (SL2) substitution.
     while True:
-        if not (-a < b <= a):
-            r = b % (2 * a)
-            if r > a:
-                r -= 2 * a
-            k = (r - b) // (2 * a)
-            c = a * k * k + b * k + c
-            b = r
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        break
-    if a == c and b < 0:
-        b = -b
-    return a, b, c
+        # x -> x + k y takes b to r = b + 2ak, the one in (-a, a], and c to
+        # a k^2 + b k + c = c + k (r + b) / 2, exact as r = b (mod 2); k = 0
+        # when b is in (-a, a] already
+        k, e = divmod(a - b, 2 * a)
+        r = a - e
+        c += k * ((r + b) // 2)
+        if a <= c:
+            break
+        a, b, c = c, -r, a
+    if a == c and r < 0:
+        r = -r
+    return a, r, c
 
 
 # ---------------------------------------------------------------------------

@@ -41,14 +41,17 @@ and negates P03 and P12, so L^perp = L_{-a1,a2} has P = (P23, P02, -P03,
 L^pperp = (P23, -P02, -P03, -P12, -P13, P01).
 
 ``_hermite`` turns a primitive decomposable P into the coordinates of
-the canonical basis of its plane with no matrix reduction.  Row s of the
+the canonical basis of its plane in closed form.  Row s of the
 antisymmetric matrix of P is x_s y - y_s x, a vector of the plane.  In
-the Hermite basis (h1, h2) oriented like P, with h1's pivot in column j,
-row j is h1_j h2: h2 is row j over the gcd of its entries, sign
-included.  Row s carries h1 with coefficient -h2_s, so one extended-gcd
-combination of the rows s > j gives h1 up to a multiple of h2, which the
-reduction at h2's pivot fixes.  ``Plane.from_basis`` reuses the Plucker
-coordinates of its summand check, and ``Plane.contains`` tests x ^ P = 0.
+the Hermite basis (h1, h2) oriented like P, with h1's pivot in column j
+(the first row of P that is not zero), row j is h1_j h2: with d the gcd
+of its entries, h2 = u = row j / d, sign included, and h1_j = d.  Row
+s carries h1 with coefficient -u_s, so for any Bezout vector l of u
+(sum l_s u_s = 1, at most two modular inverses) h1_k = -sum_{s>j} l_s P_sk
+for k > j, up to a multiple of h2, which the reduction of h1 at h2's
+pivot fixes.  Each pivot column is its own straight-line case, and no
+row is built.  ``Plane.from_basis`` reuses the Plucker coordinates of
+its summand check, and ``Plane.contains`` tests x ^ P = 0.
 ``verify_composition_identity`` reads q_L off the coordinates of
 ``_hermite`` and reduces both sides with ``forms._canonical``; it builds
 objects only for the values it returns.
@@ -115,33 +118,43 @@ def _plucker(v1: Mat2, v2: Mat2) -> tuple[int, int, int, int, int, int]:
 def _hermite(p01: int, p02: int, p03: int, p12: int, p13: int, p23: int) -> tuple[tuple[int, ...], ...]:
     """The coordinates (h1, h2) of the canonical basis of the plane of P,
     which must be primitive and satisfy the Plucker relation."""
-    rows = ((0, p01, p02, p03), (-p01, 0, p12, p13), (-p02, -p12, 0, p23), (-p03, -p13, -p23, 0))
-    j = 0 if p01 or p02 or p03 else 1 if p12 or p13 else 2
-    r0, r1, r2, r3 = rows[j]
-    d = gcd(r0, r1, r2, r3)
-    h2 = r0 // d, r1 // d, r2 // d, r3 // d
-    # sum c_s row_s over s > j has h1-coefficient -sum c_s h2_s; g tracks
-    # that sum and acc the combination, until g = +-1
-    g, acc, pivot = 0, None, None
-    for s in range(j + 1, 4):
-        w = h2[s]
-        if w == 0:
-            continue
-        if acc is None:
-            g, acc, pivot = w, rows[s], s
+    if p01 or p02 or p03:
+        # pivot column 0: h2 = (0, u1, u2, u3) = row 0 over d, h1_0 = d, and
+        # h1_k = -sum_s l_s P_sk for a Bezout vector l of u
+        d = gcd(p01, p02, p03)
+        u1, u2, u3 = p01 // d, p02 // d, p03 // d
+        # l1 u1 + l2 u2 = g = gcd(u1, u2); then s g + l3 u3 = 1 makes
+        # (s l1, s l2, l3) a Bezout vector of u
+        g = gcd(u1, u2)
+        if u2:
+            l1 = pow(u1 // g, -1, abs(u2 // g))  # 0 when u2 | u1
+            l2 = (g - l1 * u1) // u2
         else:
-            g1 = gcd(g, w)
-            a, b = g // g1, w // g1
-            x = pow(a, -1, abs(b))  # 0 when b = +-1
-            y = (1 - x * a) // b
-            g, acc = g1, [x * u + y * v for u, v in zip(acc, rows[s])]
-        if g in (1, -1):
-            break
-    # h1 = -g acc, reduced at the pivot of h2 into [0, |h2[pivot]|)
-    top, m = -g * acc[pivot], h2[pivot]
-    q = (top - top % abs(m)) // m
-    return (-g * acc[0] - q * h2[0], -g * acc[1] - q * h2[1], -g * acc[2] - q * h2[2],
-            -g * acc[3] - q * h2[3]), h2
+            l1, l2 = u1 // g if g else 0, 0
+        l3 = 0
+        if g != 1:
+            s = pow(g, -1, abs(u3))  # u3 != 0, as gcd(g, u3) = 1
+            l1, l2, l3 = s * l1, s * l2, (1 - s * g) // u3
+        x1, x2, x3 = l2 * p12 + l3 * p13, l3 * p23 - l1 * p12, -l1 * p13 - l2 * p23
+        top, m = (x1, u1) if u1 else (x2, u2) if u2 else (x3, u3)
+        q = (top - top % abs(m)) // m  # h1 reduced into [0, |m|) at h2's pivot
+        return (d, x1 - q * u1, x2 - q * u2, x3 - q * u3), (0, u1, u2, u3)
+    if p12 or p13:
+        # pivot column 1: h2 = (0, 0, u2, u3), h1 = (0, d, l3 P23, -l2 P23)
+        d = gcd(p12, p13)
+        u2, u3 = p12 // d, p13 // d
+        if u3:
+            l2 = pow(u2, -1, abs(u3))
+            l3 = (1 - l2 * u2) // u3
+        else:
+            l2, l3 = u2, 0
+        x2, x3 = l3 * p23, -l2 * p23
+        top, m = (x2, u2) if u2 else (x3, u3)
+        q = (top - top % abs(m)) // m
+        return (0, d, x2 - q * u2, x3 - q * u3), (0, 0, u2, u3)
+    # pivot column 2: the plane of the last two coordinates
+    d = abs(p23)
+    return (0, 0, d, 0), (0, 0, 0, p23 // d)
 
 
 def _plane_from_plucker(p01: int, p02: int, p03: int, p12: int, p13: int, p23: int) -> "Plane":

@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_form, random_sl2, sl2_matrices
+from conftest import large_sl2_matrices, random_form, random_sl2, sl2_matrices
 from qforms.compose import class_group
 from qforms.errors import NotUnimodular, ZeroDiscriminant, ZeroForm
 from qforms.forms import (
@@ -26,6 +26,7 @@ from qforms.forms import (
     is_equivalent,
     neg,
     square_residue,
+    _canonical,
     _reduce_indefinite,
     _walk,
 )
@@ -299,6 +300,47 @@ class TestCanonicalProperties:
         assume(D > 0 and isqrt(D) ** 2 != D)
         f0 = Form(a, b, c)
         assert self.check(act(g0, f0), g) == canonical(f0)
+
+
+def textbook_gauss(a, b, c):
+    """Gauss reduction of a positive definite form as in Buchmann and
+    Vollmer, Binary Quadratic Forms, ch. 5: normalize, (a, b, c) ->
+    (a, b + 2ka, f(k, 1)) with k = floor((a - b) / 2a), and while a > c
+    normalize (c, -b, a); then b >= 0 when a = c."""
+    while True:
+        k = (a - b) // (2 * a)
+        b, c = b + 2 * k * a, a * k * k + b * k + c
+        if a <= c:
+            break
+        a, b, c = c, -b, a
+    return (a, -b, c) if a == c and b < 0 else (a, b, c)
+
+
+@st.composite
+def small_definite_forms(draw):
+    """Positive or negative definite forms with |a|, |c| <= 10^4."""
+    a, c = draw(st.integers(1, 10**4)), draw(st.integers(1, 10**4))
+    m = isqrt(4 * a * c - 1)
+    f = Form(a, draw(st.integers(-m, m)), c)
+    return neg(f) if draw(st.booleans()) else f
+
+
+class TestGaussAgainstTextbook:
+    """_canonical for D < 0 against textbook_gauss on forms moved by SL2(Z)
+    elements with entries near 10^16, which take c to 10^30-10^40, so that
+    every Gauss step works on big integers."""
+
+    @PROPERTY
+    @given(f=small_definite_forms(), g=large_sl2_matrices(10**8))
+    def test_definite(self, f, g):
+        a, b, c = act(g, f).coeffs()
+        assume(abs(c) >= 10**30)  # g is (1, t - 1; 1, t) when p = q
+        D = discriminant(f)
+        if a > 0:
+            want = textbook_gauss(a, b, c)
+        else:
+            want = tuple(-x for x in textbook_gauss(-a, -b, -c))
+        assert _canonical(a, b, c, D) == want == _canonical(f.a, f.b, f.c, D)
 
 
 # D > 0 with 4, 6 and 8 classes, some of them not their own bar, whose

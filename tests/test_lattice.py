@@ -607,6 +607,23 @@ def huge_bases(draw):
     return v1, v2
 
 
+@st.composite
+def late_pivot_bases(draw):
+    """Bases whose first coordinate, or first two, are zero in both vectors,
+    so that the Hermite basis has its pivot in column 1 or 2, with entries
+    up to about 10^40: random pairs (most of them summands when one
+    coordinate is zero) and, with two zero coordinates, the rows of an
+    SL2(Z) element with entries near 10^40 in either orientation."""
+    zeros = draw(st.sampled_from((1, 2)))
+    if zeros == 2 and draw(st.booleans()):
+        (a, b), (c, d) = draw(large_sl2_matrices(10**20)).rows()
+        k = draw(st.sampled_from((1, -1)))
+        x, y = (0, 0, a, b), (0, 0, k * c, k * d)
+    else:
+        x, y = ((0,) * zeros + tuple(draw(huge_ints) for _ in range(4 - zeros)) for _ in range(2))
+    return Mat2.from_coords(*x), Mat2.from_coords(*y)
+
+
 class TestClosedFormAgainstKernelOracle:
     """The Plucker closed forms against the kernel-and-orientation code of
     klein_oracle.py, error codes included, at coefficients up to 10^40."""
@@ -627,6 +644,16 @@ class TestClosedFormAgainstKernelOracle:
         if got[0] == "ok":
             plane = got[1]
             assert outcome(klein_map, plane) == outcome(klein_oracle.klein_map, plane)
+
+    @PROPERTY
+    @given(basis=late_pivot_bases())
+    def test_from_basis_late_pivots(self, basis):
+        got = outcome(Plane.from_basis, *basis)
+        assert got == outcome(klein_oracle.plane_from_basis, *basis)
+        if got[0] == "ok":
+            plane = got[1]
+            assert plane.v1.coords()[0] == 0
+            assert plane.opposite() == klein_oracle.opposite(plane)
 
     @PROPERTY
     @given(basis=huge_bases(), k1=huge_ints, k2=huge_ints, x=st.tuples(*[huge_ints] * 4))

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import qforms
@@ -78,3 +79,21 @@ def test_no_private_dataclass_fields_in_library():
                       if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
             found += [f"{path.name} {node.name}.{name}" for name in fields if name.startswith("_")]
     assert not found, f"private dataclass fields in the library: {found}"
+
+
+def test_library_imports_only_the_standard_library():
+    # no runtime dependencies: every import is relative, from __future__,
+    # or of a module of the standard library
+    found = []
+    for path in sorted(Path(qforms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name != "__future__" and name.split(".")[0] not in sys.stdlib_module_names]
+    assert not found, f"imports outside the standard library: {found}"
