@@ -31,21 +31,20 @@ non-square D, and the residue parametrization a mod N -> [a x^2 + N x y]
 for D = N^2.  Both non-square regimes list forms from ``_roots_mod_4a``:
 for each a up to a bound, the square roots z mod 2a of D mod 4a, built
 from a least-prime-factor sieve by Tonelli-Shanks, Hensel lifting and CRT
-(Cohen, section 1.5).  That is O(sqrt|D|) root steps, where a scan over
-(a, b) took O(|D|); at D = -2.4 * 10^8 ``class_group`` takes 0.06 s, where
-the scan took 2.6 s.  Each root gives one b.  For D < 0, a <= sqrt(|D|/3)
-and b is z moved into (-a, a]; the forms with c >= a (and b >= 0 when
-a = c) are reduced already, so they and their negatives become classes
-with no further reduction, as do the canonical triples (a, N, 0),
-0 < a < N coprime to N, of D = N^2.  For positive non-square D, every
+(Cohen, section 1.5), in O(sqrt|D|) root steps.  Each root gives one b.
+For D < 0, a <= sqrt(|D|/3) and b is z moved into (-a, a]; the forms
+with c >= a (and b >= 0 when a = c) are reduced already, so they and
+their negatives become classes with no further reduction, as do the
+canonical triples (a, N, 0), 0 < a < N coprime to N, of D = N^2.  For
+positive non-square D, every
 cycle holds a reduced form (+-a, b, +-c) with 5a^2 <= D (Markov's bound
 on the least value of a form, see ``_indefinite_classes``), so only those
-forms are listed, with b moved into the reduced window.  The cycle of
-each listed form is walked once by ``forms._walk``, which returns its
-least form (the class representative) and lists its members; all of them
-are marked with that representative, so R reduced forms cost O(R) steps,
-not one cycle walk each.  ``class_group`` raises TooLarge before an
-enumeration longer than ``_CLASS_GROUP_SCAN_MAX`` steps.
+forms are listed, with b moved into the reduced window.  ``forms._walk``
+walks the cycle of each listed form that no earlier walk has met, once:
+it strikes the listed forms on that cycle off one set and returns the
+cycle's least form, the class representative, so R reduced forms cost
+O(R) steps.  ``class_group`` raises TooLarge before an enumeration longer
+than ``_CLASS_GROUP_SCAN_MAX`` steps.
 
 ``_class_triples`` is the enumeration on canonical coefficient triples;
 ``class_group`` wraps its result in ``FormClass`` objects.  The loops
@@ -503,23 +502,23 @@ def _indefinite_classes(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, 
     Every cycle holds a form of ``_markov_forms``: by Markov's theorem each
     form takes a primitive value v with |v| <= sqrt(D/5) < sqrt(D)/2, and a
     form (v, b, c) moved into the window sqrt(D) - 2|v| < b < sqrt(D) is
-    reduced.  The cycle of each such form is walked once, unless an
-    earlier walk marked it: its members are marked and its least form is
-    the class representative, so R reduced forms cost O(R) steps.
+    reduced.  The Markov forms no walk has met yet are kept in one set, and
+    the cycle of each of them is walked once: the walk strikes off the
+    Markov forms on its cycle and returns its least form, the class
+    representative.  The zero form lies on no cycle, so the set never
+    empties and every walk returns its least form.
     """
     sq = isqrt(D)
-    rep_of = {}
-    classes = []
-    for f in _markov_forms(D, sq):
-        if f not in rep_of:
-            cycle = []
-            rep = _walk(*f, D, sq, members=cycle)
-            rep_of.update(dict.fromkeys(cycle, rep))
-            classes.append(rep)
     # (1, b, (b^2 - D)/4) with b = sq or sq - 1 of D's parity is reduced and
     # a translate of the principal form, so its cycle is the identity class
     b = sq - (sq - D) % 2
-    return classes, rep_of[(1, b, (b * b - D) // 4)]
+    markov = _markov_forms(D, sq)
+    pending = {(0, 0, 0), *markov}
+    classes = [_walk(1, b, (b * b - D) // 4, D, sq, stop=pending)]
+    for f in markov:
+        if f in pending:
+            classes.append(_walk(*f, D, sq, stop=pending))
+    return classes, classes[0]
 
 
 def _class_triples(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, int, int]]:
@@ -552,11 +551,11 @@ def class_group(D: int) -> OrientedClassGroup:
     """The oriented class group of discriminant D (complete, with identity).
 
     Both signs of non-square D list their reduced forms from the square
-    roots of D mod 4a (``_roots_mod_4a``), in O(sqrt|D|) steps: 0.06 s at
-    D = -2.4 * 10^8.  The enumeration is counted as |D|/12 steps for
-    D < 0, D/8 for positive non-square D (see _CLASS_GROUP_SCAN_MAX) and
-    N residues of 150 steps each for D = N^2; TooLarge is raised before
-    it starts when that exceeds _CLASS_GROUP_SCAN_MAX steps.
+    roots of D mod 4a (``_roots_mod_4a``), in O(sqrt|D|) steps.  The
+    enumeration is counted as |D|/12 steps for D < 0, D/8 for positive
+    non-square D (see _CLASS_GROUP_SCAN_MAX) and N residues of 150 steps
+    each for D = N^2; TooLarge is raised before it starts when that exceeds
+    _CLASS_GROUP_SCAN_MAX steps.
     """
     triples, identity = _class_triples(D)
     return OrientedClassGroup(D, [FormClass(Form(*t), D) for t in triples], triples.index(identity))

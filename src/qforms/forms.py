@@ -25,13 +25,15 @@ Canonical representatives per discriminant regime:
   a < 0 each pass takes the step from a < 0 and then the one from a > 0,
   compares only the a < 0 form with the running minimum and tests for
   the return to the start once.  It raises TooLarge past ``_WALK_MAX``
-  passes.  ``canonical`` takes the minimum it returns, ``is_equivalent``
-  stops it when it meets the partner form (also before its first step),
-  and ``compose.class_group`` has it list each cycle once to mark all of
-  its members.  For ``canonical`` the walk also stops at mirror steps
-  f -> (c, b, a): the mirror (a, b, c) -> (c, b, a) keeps forms reduced
-  and reverses the neighbor step, so only a cycle it maps to itself (an
-  ambiguous class) has such steps, exactly two, half the cycle apart.
+  passes.  Given a set ``stop`` of reduced forms, it strikes off each one
+  it meets and ends once the set is empty: ``is_equivalent`` passes the
+  partner form, ``compose.class_group`` the Markov forms no walk has met
+  yet, and ``seifert`` the reduced forms of the special witnesses.
+  ``canonical`` takes the minimum it returns with no ``stop``, and then
+  the walk stops at mirror steps f -> (c, b, a): the mirror
+  (a, b, c) -> (c, b, a) keeps forms reduced and reverses the neighbor
+  step, so only a cycle it maps to itself (an ambiguous class) has such
+  steps, exactly two, half the cycle apart.
   Walking from the start and from its mirror each to the next mirror
   step meets half of such a cycle, and the mirrors of those forms are
   the other half; any other cycle is walked in full.
@@ -251,12 +253,12 @@ def _reduce_indefinite(a: int, b: int, c: int, D: int, sq: int) -> tuple[int, in
 _WALK_MAX = 2 * 10**6
 
 
-def _walk(a: int, b: int, c: int, D: int, sq: int, stop=None, members=None):
+def _walk(a: int, b: int, c: int, D: int, sq: int, stop=None):
     """Walk the cycle of the reduced form (a, b, c) (D > 0 non-square,
-    sq = isqrt(D)) and return its least form, or None as soon as the walk
-    meets the form ``stop``.  Given a list ``members``, it appends each form
-    of the cycle once, in cycle order, from the first form with a < 0.
-    TooLarge is raised past ``_WALK_MAX`` passes.
+    sq = isqrt(D)) and return its least form.  Given a set ``stop`` of
+    reduced forms, the walk strikes off each of them it meets, the start
+    included, and returns None as soon as the set is empty.  TooLarge is
+    raised past ``_WALK_MAX`` passes.
 
     This is the one place where a reduced cycle is stepped.  A reduced form
     has |c| < sqrt(D), so the neighbor step (a, b, c) -> (c, r, .) takes
@@ -268,9 +270,10 @@ def _walk(a: int, b: int, c: int, D: int, sq: int, stop=None, members=None):
     2 sqrt(D), with no product of the size of D and no division by 4c.
     After one step from a > 0, each pass takes the step from a < 0 and
     then the one from a > 0.  The least form has a < 0, so it is the one
-    with the largest U, then the least b.
+    with the largest U, then the least b.  A walk with ``stop`` takes
+    O(L + |stop|) for a cycle of L forms, however the two compare.
 
-    With neither ``stop`` nor ``members`` the walk stops at mirror steps.
+    Without ``stop`` the walk stops at mirror steps.
     The mirror rho(a, b, c) = (c, b, a) of a reduced form is reduced, and
     it reverses the neighbor step: if g follows f, rho(f) follows rho(g).
     So a step f -> rho(f), which on the magnitudes is a step with r == b,
@@ -285,7 +288,7 @@ def _walk(a: int, b: int, c: int, D: int, sq: int, stop=None, members=None):
     to f0 first is on a cycle that is not ambiguous and returns the a < 0
     minimum after all L steps.  The two walks share the budget.
     """
-    if stop is None and members is None:
+    if stop is None:
         nU = nb = nV = mU = mb = mV = 0  # least a < 0 form; least mirror of an a > 0 one
         left = _WALK_MAX
         for a, b, c in ((a, b, c), (c, b, a)):
@@ -329,11 +332,9 @@ def _walk(a: int, b: int, c: int, D: int, sq: int, stop=None, members=None):
         if mU > nU or (mU == nU and mb < nb):
             return -mU >> 1, mb, mV >> 1
         return -nU >> 1, nb, nV >> 1
-    sa, sb, _ = stop or (0, 0, 0)  # the zero form is on no cycle
-    if a == sa and b == sb:  # (a, b) determine c
+    stop.discard((a, b, c))
+    if not stop:
         return None
-    pos_stop = 2 * sa  # the stop form has U = 2 sa if sa > 0, U = -2 sa if sa < 0
-    neg_stop = -pos_stop
     if a > 0:
         U, V = 2 * a, -2 * c
         q = (sq + b) // V
@@ -343,20 +344,31 @@ def _walk(a: int, b: int, c: int, D: int, sq: int, stop=None, members=None):
         U, V = -2 * a, 2 * c
     U0, b0 = U, b
     best_U, best_b, best_V = U, b, V
-    for _ in range(_WALK_MAX):
+    # every form met is tested against stop until the walk has taken as
+    # many passes as stop held forms; from then on only a form whose b is
+    # in bs.  Building bs costs O(|stop|), so a short cycle against a large
+    # set and a long cycle against a small one both cost O(L + |stop|)
+    bs, n = None, len(stop)
+    for i in range(_WALK_MAX):
+        if i == n:
+            bs = {f[1] for f in stop}
         # a < 0 < c
-        if U == neg_stop and b == sb:
-            return None
-        if members is not None:
-            members.append((-U >> 1, b, V >> 1))
+        if bs is None or b in bs:
+            f = (-U >> 1, b, V >> 1)
+            if f in stop:
+                stop.remove(f)
+                if not stop:
+                    return None
         q = (sq + b) // V
         r = q * V - b
         U, b, V = V, r, U + q * (b - r)
         # a > 0 > c
-        if U == pos_stop and b == sb:
-            return None
-        if members is not None:
-            members.append((U >> 1, b, -V >> 1))
+        if bs is None or b in bs:
+            f = (U >> 1, b, -V >> 1)
+            if f in stop:
+                stop.remove(f)
+                if not stop:
+                    return None
         q = (sq + b) // V
         r = q * V - b
         U, b, V = V, r, U + q * (b - r)
@@ -453,11 +465,14 @@ def _canonical(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
 
 def _canonical_bar(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
     # the canonical coefficients of the bar (a, -b, c) of the canonical
-    # triple (a, b, c).  For D < 0, of either sign and any content, (a, -b, c)
-    # is reduced, and it is canonical unless b = 0, |b| = |a| or a = c: then
-    # the class is its own bar (b = -a is not canonical, so |b| = |a| is b = a)
+    # triple (a, b, c).  For D > 0 the S-swap takes (a, -b, c) to the mirror
+    # (c, b, a), which is reduced for D not a square, so the walk starts there
+    # with no reduction step.  For D < 0, of either sign and any content,
+    # (a, -b, c) is reduced, and it is canonical unless b = 0, |b| = |a| or
+    # a = c: then the class is its own bar (b = -a is not canonical, so
+    # |b| = |a| is b = a)
     if D > 0:
-        return _canonical(a, -b, c, D)
+        return _canonical(c, b, a, D)
     if b == 0 or b == a or a == c:
         return a, b, c
     return a, -b, c
@@ -481,7 +496,7 @@ def is_equivalent(f1: Form, f2: Form) -> bool:
     if D <= 0 or N * N == D:
         return canonical(f1) == canonical(f2)
     r2 = _reduce_indefinite(f2.a, f2.b, f2.c, D, N)
-    return _walk(*_reduce_indefinite(f1.a, f1.b, f1.c, D, N), D, N, stop=r2) is None
+    return _walk(*_reduce_indefinite(f1.a, f1.b, f1.c, D, N), D, N, stop={r2}) is None
 
 
 @dataclass(frozen=True)

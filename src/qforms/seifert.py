@@ -16,7 +16,11 @@ The witness list and T' come from ``compose`` (``_special_witnesses``,
 ``_half_special_squares``).  The three existence queries share one
 search, ``_first_witness``, which returns the first witness (a, c) in
 ``divisor_pairs`` order (|a| ascending) with a > 0: the witness (-a, -c)
-has the square of (a, c) and comes right after it.
+has the square of (a, c) and comes right after it.  For D < 0 and square
+D it reduces each witness's square in turn.  For positive non-square D
+it reduces each witness's form (t^2, t^4 = t^2 t^2 or t^2 s1) with no
+cycle walk and walks one cycle, the principal cycle or that of s2, once:
+two reduced forms are equivalent iff they lie on one cycle.
 
 A realizable pair is *B^4-distinguishable* iff s1 is neither s2 nor
 bar(s2): the double branched covers of the pushed-in surfaces then have
@@ -33,6 +37,7 @@ from .compose import (
     phi_n,
     _check_discriminant,
     _class_triples,
+    _compose,
     _compose_reduced,
     _half_special_squares,
     _identity,
@@ -41,7 +46,7 @@ from .compose import (
     _special_witnesses,
 )
 from .errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, OutOfRange, TooLarge
-from .forms import Form, FormClass, Mat2, _canonical_bar, _ext_gcd
+from .forms import Form, FormClass, Mat2, _canonical_bar, _ext_gcd, _reduce_indefinite, _walk
 
 if TYPE_CHECKING:  # lattice is imported where it is used, not at start-up
     from .lattice import KleinPair
@@ -49,11 +54,41 @@ if TYPE_CHECKING:  # lattice is imported where it is used, not at start-up
 Witness = tuple[int, int]
 
 
-def _first_witness(D: int, keep: Callable[[tuple[int, int, int]], bool]) -> tuple[bool, Witness | None]:
-    # the first special witness (a, c) whose canonical square t has keep(t)
-    for a, c in _special_witnesses(D):
-        if keep(_special_square(a, c, D)):
-            return True, (a, c)
+def _first_witness(D: int, keep: Callable[[tuple[int, int, int], tuple[int, int, int]], bool],
+                   product: Callable[[tuple[int, int, int]], tuple[int, int, int]],
+                   target: tuple[int, int, int] | None) -> tuple[bool, Witness | None]:
+    """The first special witness (a, c) whose square t passes, as
+    (True, (a, c)), or (False, None) when none does.
+
+    For D < 0 and square D the witnesses are tried in turn: t passes when
+    keep(t, e) holds for its canonical triple t, e the canonical triple of
+    target (the identity for None).  For positive non-square D, keep must
+    mean that the form product(t) lies in the class of target, or, with
+    target None, that it is not principal.  Two reduced forms are
+    equivalent iff they lie on one cycle (Buchmann-Vollmer, Binary
+    Quadratic Forms, ch. 6), so each witness's product of
+    (a^2, 1 - 2ac, c^2) is reduced, with no cycle walk, and the cycle of
+    target (or the principal cycle) is walked once, striking off the forms
+    it meets: W witnesses cost W compositions and reductions and one walk.
+    """
+    witnesses = _special_witnesses(D)
+    sq = isqrt(D) if D > 0 else 0
+    if D < 0 or sq * sq == D:
+        e = target or _identity(D)
+        for a, c in witnesses:
+            if keep(_special_square(a, c, D), e):
+                return True, (a, c)
+        return False, None
+    forms = [_reduce_indefinite(*product((a * a, 1 - 2 * a * c, c * c)), D, sq) for a, c in witnesses]
+    principal = target is None
+    if principal:  # a reduced translate of the principal form
+        b = sq - (sq - D) % 2
+        target = (1, b, (b * b - D) // 4)
+    off = set(forms)
+    _walk(*target, D, sq, stop=off)  # leaves the forms off the cycle of target
+    for w, f in zip(witnesses, forms):
+        if (f in off) == principal:
+            return True, w
     return False, None
 
 
@@ -62,26 +97,30 @@ def realizable_disjoint_pair(s1: FormClass, s2: FormClass) -> tuple[bool, Witnes
     if s1.disc != s2.disc:
         raise MismatchedDiscriminant(f"{s1.disc} != {s2.disc}")
     D = s1.disc
-    t1, t2 = s1.coeffs(), s2.coeffs()
-    return _first_witness(D, lambda t: _compose_reduced(t, t1, D) == t2)
+    t1 = s1.coeffs()
+    return _first_witness(D, lambda t, e: _compose_reduced(t, t1, D) == e,
+                          lambda t: _compose(*t, *t1, D), s2.coeffs())
 
 
 def nonisotopic_exists(D: int) -> tuple[bool, Witness | None]:
     """Is some special square non-trivial (equivalently, S+_D non-trivial)?"""
-    ident = _identity(D)
-    return _first_witness(D, lambda t: t != ident)
+    _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
+    return _first_witness(D, lambda t, e: t != e, lambda t: t, None)
 
 
 def prescribed_form_exists(D: int) -> tuple[bool, Witness | None]:
     """Does some special class have non-trivial fourth power?
 
     When it does, one of the two disjoint surfaces can be prescribed an
-    arbitrary Seifert form of discriminant D.  The square t^2 is primitive,
-    so t^4 != 1 exactly when t^2 != bar(t^2): one reduction for t^2, and
-    for D > 0 one for its bar, no composition.
+    arbitrary Seifert form of discriminant D.  For D < 0 and square D the
+    square t^2 is primitive, so t^4 != 1 exactly when t^2 != bar(t^2): one
+    reduction for t^2 and a closed-form bar for D < 0, no composition.
+    For positive non-square D each t^4 = t^2 t^2 is composed and reduced,
+    and the principal cycle is walked once to find which t^4 lie on it.
     """
     _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
-    return _first_witness(D, lambda t: _canonical_bar(*t, D) != t)
+    return _first_witness(D, lambda t, e: _canonical_bar(*t, D) != t,
+                          lambda t: _compose(*t, *t, D), None)
 
 
 def _prime_power_k2(m: int) -> bool:

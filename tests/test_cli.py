@@ -172,12 +172,13 @@ class TestSeifert:
     def test_pairs_budget_before_cycle_walk(self, capsys, monkeypatch):
         # 584637511777 is past the class_group budget, and its principal
         # cycle has 485,404 forms: the budget refuses before any walk.
-        # compose binds _walk by name, so both bindings are refused
+        # compose and seifert bind _walk by name, so every binding is refused
         def refuse(*args, **kwargs):
             raise RuntimeError("a cycle was walked")
 
         monkeypatch.setattr("qforms.forms._walk", refuse)
         monkeypatch.setattr("qforms.compose._walk", refuse)
+        monkeypatch.setattr("qforms.seifert._walk", refuse)
         code, out, _ = run_cli(capsys, "seifert", "pairs", "--json", "584637511777")
         assert code == 1 and json.loads(out)["error"] == "too-large"
 

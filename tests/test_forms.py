@@ -467,41 +467,41 @@ def all_reduced_forms(D):
     return out
 
 
-def walk_order(cycle, f):
-    """The cycle as _walk from f lists it: from f or, if f.a > 0, the next form."""
-    k = cycle.index(f) + (f.a > 0)
-    return [g.coeffs() for g in cycle[k:] + cycle[:k]]
-
-
 def check_walk(f, D, cycle, others=()):
-    """_walk from f returns the least form of its textbook cycle and lists
-    its members in order; a stop on another cycle does not end the walk."""
+    """_walk from f returns the least form of its textbook cycle, with no
+    stop and with a stop set of forms on other cycles, which it keeps."""
     sq = isqrt(D)
-    order = walk_order(cycle, f)
-    members = []
-    assert _walk(*f.coeffs(), D, sq, members=members) == min(order)
-    assert members == order
-    for g in others:
-        assert _walk(*f.coeffs(), D, sq, stop=g.coeffs()) == min(order)
+    least = min(g.coeffs() for g in cycle)
+    assert _walk(*f.coeffs(), D, sq) == least
+    stop = {g.coeffs() for g in others} | {(0, 0, 0)}  # the zero form is on no cycle
+    kept = set(stop)
+    assert _walk(*f.coeffs(), D, sq, stop=stop) == least
+    assert stop == kept
 
 
 def check_stops(f, D, cycle):
-    """The walk from f stops exactly when it meets each member of its cycle."""
+    """The walk from f strikes off every member of its cycle: one alone or
+    two half the cycle apart end the walk, the whole cycle is struck off,
+    and with a form of no cycle the walk strikes off the rest and returns
+    the least form."""
     sq = isqrt(D)
-    order = walk_order(cycle, f)
     for g in cycle:
-        members = []
-        assert _walk(*f.coeffs(), D, sq, stop=g.coeffs(), members=members) is None
-        assert members == ([] if g == f else order[:order.index(g.coeffs())])
+        assert _walk(*f.coeffs(), D, sq, stop={g.coeffs()}) is None
+    assert _walk(*f.coeffs(), D, sq, stop={cycle[len(cycle) // 2].coeffs(), cycle[-1].coeffs()}) is None
+    members = {g.coeffs() for g in cycle}
+    stop = set(members)
+    assert _walk(*f.coeffs(), D, sq, stop=stop) is None and not stop
+    stop = members | {(0, 0, 0)}
+    assert _walk(*f.coeffs(), D, sq, stop=stop) == min(members)
+    assert stop == {(0, 0, 0)}
 
 
 class TestWalk:
     """forms._walk, the one cycle walk, against the textbook neighbor step."""
 
     def test_every_reduced_form_small_d(self):
-        # all 1,446 non-square D = 0, 1 mod 4 up to 3000: the minimum and the
-        # members from every reduced form, the stops from one start of each
-        # sign per cycle
+        # all 1,446 non-square D = 0, 1 mod 4 up to 3000: the minimum from
+        # every reduced form, the stops from one start of each sign per cycle
         cycles = 0
         for D in range(5, 3001):
             if D % 4 > 1 or isqrt(D) ** 2 == D:

@@ -21,7 +21,7 @@ from conftest import sl2_matrices
 from qforms.cli import main
 from qforms.compose import _markov_forms, _sqrt_mod_prime, class_group
 from qforms.forms import Form, act, _reduce_indefinite, _walk
-from test_forms import check_walk, is_reduced, textbook_step, time_limit
+from test_forms import check_walk, is_reduced, textbook_cycle, textbook_step, time_limit
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -58,9 +58,7 @@ def test_every_cycle_holds_a_markov_form():
         reached = set()
         for f in markov:
             if f not in reached:
-                members = []
-                _walk(*f, D, sq, members=members)
-                reached.update(members)
+                reached.update(g.coeffs() for g in textbook_cycle(Form(*f), D))
         assert reached == every
 
 
@@ -134,8 +132,8 @@ class TestWalkAgainstTextbook:
     @PROPERTY
     @given(fd=reduced_forms_up_to(10**13), k=st.integers(1, 400))
     def test_members_up_to_a_stop(self, fd, k):
-        # the walk stopped k textbook steps ahead lists exactly the forms
-        # before that one; a cycle of at most k forms is checked whole
+        # the walk strikes off the form k textbook steps ahead, and the k + 1
+        # members up to it; a cycle of at most k forms is checked whole
         f, D = fd
         assert is_reduced(f, D)
         prefix = [f]
@@ -144,6 +142,6 @@ class TestWalkAgainstTextbook:
             if prefix[-1] == f:
                 check_walk(f, D, prefix[:-1])
                 return
-        members = []
-        assert _walk(*f.coeffs(), D, isqrt(D), stop=prefix[-1].coeffs(), members=members) is None
-        assert members == [g.coeffs() for g in prefix[f.a > 0:-1]]
+        assert _walk(*f.coeffs(), D, isqrt(D), stop={prefix[-1].coeffs()}) is None
+        stop = {g.coeffs() for g in prefix}
+        assert _walk(*f.coeffs(), D, isqrt(D), stop=stop) is None and not stop

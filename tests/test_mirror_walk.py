@@ -1,10 +1,12 @@
 """The least-form walk of ``forms._walk`` that stops at mirror steps.
 
-With neither ``stop`` nor ``members``, ``_walk`` walks an ambiguous cycle
-only from its start and from the start's mirror rho(a, b, c) = (c, b, a),
-each up to the next step f -> rho(f).  These tests hold it to the full
-members walk, whose order ``test_forms.check_walk`` pins to the textbook
-neighbor step, and check that the half walk is what the budget counts.
+Without ``stop``, ``_walk`` walks an ambiguous cycle only from its start
+and from the start's mirror rho(a, b, c) = (c, b, a), each up to the next
+step f -> rho(f).  These tests hold it to the least form of the textbook
+cycle and to the full walk that a stop set of no cycle's forms forces,
+and check that the half walk is what the budget counts.  The bar of a
+canonical triple is walked from its mirror, held to the reduction of
+(a, -b, c).
 """
 
 from math import isqrt
@@ -14,8 +16,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qforms.forms as forms
 from conftest import sl2_matrices
+from qforms.compose import _class_triples
 from qforms.errors import TooLarge
-from qforms.forms import Form, act, canonical, _reduce_indefinite, _walk
+from qforms.forms import Form, act, canonical, _canonical, _canonical_bar, _reduce_indefinite, _walk
 from test_forms import all_reduced_forms, textbook_cycle, textbook_step
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -26,11 +29,9 @@ def rho(f):
 
 
 def full_minimum(f, D):
-    """The least form of the cycle of the reduced f by the members walk."""
-    members = []
-    least = _walk(*f.coeffs(), D, isqrt(D), members=members)
-    assert least == min(members)
-    return least
+    """The least form of the cycle of the reduced f by the full walk: the
+    zero form is on no cycle, so the stop set never empties."""
+    return _walk(*f.coeffs(), D, isqrt(D), stop={(0, 0, 0)})
 
 
 def test_every_reduced_form_small_d():
@@ -46,11 +47,10 @@ def test_every_reduced_form_small_d():
         for f in all_reduced_forms(D):
             t = f.coeffs()
             if t not in least:
-                members = []
-                m = _walk(*t, D, sq, members=members)
-                least.update(dict.fromkeys(members, m))
+                cycle = [g.coeffs() for g in textbook_cycle(f, D)]
+                least.update(dict.fromkeys(cycle, min(cycle)))
                 cycles += 1
-                ambiguous += (f.c, f.b, f.a) in members
+                ambiguous += (f.c, f.b, f.a) in cycle
             assert _walk(*t, D, sq) == least[t], (D, f)
             checked += 1
     assert (checked, cycles, ambiguous) == (69274, 6607, 5375)
@@ -111,7 +111,7 @@ def test_half_of_the_longest_pool_cycle_fits_a_reduced_budget(monkeypatch):
     least = canonical(Form(*f))
     assert least.a < 0 and least.b ** 2 - 4 * least.a * least.c == D
     with pytest.raises(TooLarge):
-        _walk(*f, D, sq, members=[])
+        _walk(*f, D, sq, stop={(0, 0, 0)})
     monkeypatch.setattr(forms, "_WALK_MAX", 121_351)
     with pytest.raises(TooLarge):
         _walk(*f, D, sq)
@@ -127,6 +127,27 @@ def test_cycle_that_is_not_ambiguous_keeps_its_full_budget(monkeypatch):
     monkeypatch.setattr(forms, "_WALK_MAX", 40_729)
     least = canonical(f)
     assert canonical(rho(least)) != least  # the inverse class is another one
+
+
+def test_bar_walks_from_the_mirror():
+    # every canonical triple of every non-square D in [5, 10000]: the
+    # content-m ones are m times the primitive ones of D / m^2
+    checked = own_bar = 0
+    for D0 in range(5, 10001):
+        if D0 % 4 > 1 or isqrt(D0) ** 2 == D0:
+            continue
+        triples = _class_triples(D0)[0]
+        m = 1
+        while m * m * D0 <= 10000:
+            D = m * m * D0
+            for a, b, c in triples:
+                a, b, c = m * a, m * b, m * c
+                bar = _canonical_bar(a, b, c, D)
+                assert bar == _canonical(a, -b, c, D), (a, b, c)
+                checked += 1
+                own_bar += bar == (a, b, c)
+            m += 1
+    assert (checked, own_bar) == (29012, 21144)
 
 
 @st.composite
