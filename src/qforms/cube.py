@@ -20,7 +20,8 @@ verified symbolically; with it, [q1]*[q2]*[q3] = 1 whenever defined.
 whose Plucker coordinates (P01, P02, P03, P12, P13, P23) are, for
 q_i = (a_i, b_i, c_i), ((b1 + b2)/2, a2, -a1, -c1, c2, (b2 - b1)/2); the
 entries are the ``lattice._hermite`` coordinates of that plane.
-``cube_law_check`` reduces and composes the slicings as integer triples.
+``cube_law_check`` reduces and composes the slicings as integer triples,
+checking one law when all three are primitive.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .forms import Form, _canonical, _canonical_bar, content, discriminant
 from .lattice import _hermite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cube:
     """Eight integers indexed by (i, j, k); e(i, j, k) = entries[4i + 2j + k].
 
@@ -43,10 +44,10 @@ class Cube:
 
     entries: tuple[int, int, int, int, int, int, int, int]
 
-    def __post_init__(self) -> None:
-        e = self.entries
-        if type(e) is not tuple or len(e) != 8 or not all(type(v) is int for v in e):
-            raise OutOfRange(f"a cube holds a tuple of eight ints, not {e!r}")
+    def __init__(self, entries: tuple[int, int, int, int, int, int, int, int]) -> None:
+        if type(entries) is not tuple or len(entries) != 8 or not all(type(v) is int for v in entries):
+            raise OutOfRange(f"a cube holds a tuple of eight ints, not {entries!r}")
+        self.__dict__["entries"] = entries
 
     def to_dict(self) -> dict:
         return {"entries": list(self.entries)}
@@ -75,11 +76,16 @@ def slicings(cube: Cube) -> tuple[Form, Form, Form]:
 
 
 def cube_law_check(cube: Cube) -> bool:
-    """Verify [q_j] * [q_k] = bar[q_i] for every coprime-content pair (j, k).
+    """Bhargava's cube law: [q_j] * [q_k] = bar[q_i] for every pair (j, k)
+    of slicing forms with coprime contents, i the third slicing.
 
-    Raises when no pair of the three slicing forms has coprime contents,
-    or when the common discriminant vanishes.  Each slicing is reduced once,
-    and the bar side is ``forms._canonical_bar`` of the reduced triple.
+    When all three forms are primitive their classes lie in a group where
+    bar is the inverse, and each of the three laws says [q1][q2][q3] = 1,
+    so one law, [q2] * [q3] = bar[q1], is checked.  Otherwise every pair
+    with coprime contents is checked.  Raises when no pair has coprime
+    contents, or when the common discriminant vanishes.  Each slicing is
+    reduced once, and the bar side is ``forms._canonical_bar`` of the
+    reduced triple.
     """
     qs = _slicing_triples(cube.entries)
     d1, d2, d3 = (b * b - 4 * a * c for a, b, c in qs)
@@ -88,9 +94,12 @@ def cube_law_check(cube: Cube) -> bool:
     if not (d2 == d3 == d1):
         raise MismatchedDiscriminant("slicing discriminants disagree")
     m = [gcd(*q) for q in qs]
-    pairs = [(i, j, k) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) if gcd(m[j], m[k]) == 1]
-    if not pairs:
-        raise NoCoprimePair("no two slicing forms have coprime contents")
+    if m == [1, 1, 1]:
+        pairs = [(0, 1, 2)]
+    else:
+        pairs = [(i, j, k) for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) if gcd(m[j], m[k]) == 1]
+        if not pairs:
+            raise NoCoprimePair("no two slicing forms have coprime contents")
     t = [_canonical(*q, d1) for q in qs]
     return all(_compose_reduced(t[j], t[k], d1) == _canonical_bar(*t[i], d1) for i, j, k in pairs)
 

@@ -53,8 +53,9 @@ pivot fixes.  Each pivot column is its own straight-line case, and no
 row is built.  ``Plane.from_basis`` reuses the Plucker coordinates of
 its summand check, and ``Plane.contains`` tests x ^ P = 0.
 ``verify_composition_identity`` reads q_L off the coordinates of
-``_hermite`` and reduces both sides with ``forms._canonical``; it builds
-objects only for the values it returns.
+``_hermite`` and reduces both sides with ``forms._canonical``, composing
+Gauss-reduced factors for D < 0; it builds objects only for the values it
+returns.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def _q_l(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int]:
             y[0] * y[1] + y[2] * y[3])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Plane:
     """An oriented rank-2 direct summand of Z^4, in canonical form.
 
@@ -180,6 +181,10 @@ class Plane:
 
     v1: Mat2
     v2: Mat2
+
+    def __init__(self, v1: Mat2, v2: Mat2) -> None:
+        d = self.__dict__
+        d["v1"], d["v2"] = v1, v2
 
     @staticmethod
     def from_basis(v1: Mat2, v2: Mat2) -> "Plane":
@@ -206,12 +211,16 @@ class Plane:
                 and x0 * p23 - x2 * p03 + x3 * p02 == 0 and x1 * p23 - x2 * p13 + x3 * p12 == 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KleinPair:
     """A pair of Gross vectors of equal nonzero determinant."""
 
     a1: Mat2
     a2: Mat2
+
+    def __init__(self, a1: Mat2, a2: Mat2) -> None:
+        d = self.__dict__
+        d["a1"], d["a2"] = a1, a2
 
 
 def q_of_plane(plane: Plane) -> Form:
@@ -301,18 +310,25 @@ def symplectic_complement(plane: Plane) -> Plane:
 
 
 def verify_composition_identity(p: KleinPair) -> tuple[FormClass, FormClass, bool]:
-    """Compute [q_L] two ways: from the plane, and as bar[q_a1] * [q_a2].
+    """The composition identity of the Klein correspondence: [q_L] of the
+    plane L = Psi(a1, a2) equals bar[q_a1] * [q_a2].
 
-    Returns both classes and a flag that also requires
-    content(q_L) == content(a1) * content(a2).
+    Returns the class of q_L (read off the Hermite basis of L), the class
+    of the composite, and a flag that both are equal and that
+    content(q_L) == content(a1) * content(a2).  For D < 0 the factors are
+    Gauss-reduced before they are composed, so the composite stays small;
+    for D > 0 they are composed as given, as reducing them would cost two
+    cycle walks.
     """
     a, b, c = _q_l(*_hermite(*_pair_plucker(p)))
     dl = b * b - 4 * a * c
     a1, a2 = p.a1, p.a2
     d = a1.m11 * a1.m11 + a1.m12 * a1.m21  # disc(q_a1) = -det(a1)
     via_plane = _canonical(a, b, c, dl)
-    via_compose = _canonical(*_compose(a1.m12 // 2, -a1.m11, -a1.m21 // 2,
-                                       a2.m12 // 2, a2.m11, -a2.m21 // 2, d), d)
+    t1, t2 = (a1.m12 // 2, -a1.m11, -a1.m21 // 2), (a2.m12 // 2, a2.m11, -a2.m21 // 2)
+    if d < 0:
+        t1, t2 = _canonical(*t1, d), _canonical(*t2, d)
+    via_compose = _canonical(*_compose(*t1, *t2, d), d)
     ok = (via_plane, dl) == (via_compose, d) and gcd(a, b, c) == gross_content(a1) * gross_content(a2)
     return FormClass(Form(*via_plane), dl), FormClass(Form(*via_compose), d), ok
 

@@ -54,17 +54,16 @@ if TYPE_CHECKING:  # lattice is imported where it is used, not at start-up
 Witness = tuple[int, int]
 
 
-def _first_witness(D: int, keep: Callable[[tuple[int, int, int], tuple[int, int, int]], bool],
+def _first_witness(D: int, keep: Callable[[tuple[int, int, int]], bool],
                    product: Callable[[tuple[int, int, int]], tuple[int, int, int]],
                    target: tuple[int, int, int] | None) -> tuple[bool, Witness | None]:
     """The first special witness (a, c) whose square t passes, as
     (True, (a, c)), or (False, None) when none does.
 
     For D < 0 and square D the witnesses are tried in turn: t passes when
-    keep(t, e) holds for its canonical triple t, e the canonical triple of
-    target (the identity for None).  For positive non-square D, keep must
-    mean that the form product(t) lies in the class of target, or, with
-    target None, that it is not principal.  Two reduced forms are
+    keep(t) holds for its canonical triple t.  For positive non-square D,
+    keep must mean that the form product(t) lies in the class of target, or,
+    with target None, that it is not principal.  Two reduced forms are
     equivalent iff they lie on one cycle (Buchmann-Vollmer, Binary
     Quadratic Forms, ch. 6), so each witness's product of
     (a^2, 1 - 2ac, c^2) is reduced, with no cycle walk, and the cycle of
@@ -74,9 +73,8 @@ def _first_witness(D: int, keep: Callable[[tuple[int, int, int], tuple[int, int,
     witnesses = _special_witnesses(D)
     sq = isqrt(D) if D > 0 else 0
     if D < 0 or sq * sq == D:
-        e = target or _identity(D)
         for a, c in witnesses:
-            if keep(_special_square(a, c, D), e):
+            if keep(_special_square(a, c, D)):
                 return True, (a, c)
         return False, None
     forms = [_reduce_indefinite(*product((a * a, 1 - 2 * a * c, c * c)), D, sq) for a, c in witnesses]
@@ -97,15 +95,19 @@ def realizable_disjoint_pair(s1: FormClass, s2: FormClass) -> tuple[bool, Witnes
     if s1.disc != s2.disc:
         raise MismatchedDiscriminant(f"{s1.disc} != {s2.disc}")
     D = s1.disc
-    t1 = s1.coeffs()
-    return _first_witness(D, lambda t, e: _compose_reduced(t, t1, D) == e,
-                          lambda t: _compose(*t, *t1, D), s2.coeffs())
+    t1, t2 = s1.coeffs(), s2.coeffs()
+    return _first_witness(D, lambda t: _compose_reduced(t, t1, D) == t2,
+                          lambda t: _compose(*t, *t1, D), t2)
 
 
 def nonisotopic_exists(D: int) -> tuple[bool, Witness | None]:
     """Is some special square non-trivial (equivalently, S+_D non-trivial)?"""
     _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
-    return _first_witness(D, lambda t, e: t != e, lambda t: t, None)
+    sq = isqrt(D) if D > 0 else 0
+    # the identity is compared only for D < 0 and square D, where it costs
+    # one reduction; for positive non-square D the walk finds principal forms
+    e = _identity(D) if D < 0 or sq * sq == D else None
+    return _first_witness(D, lambda t: t != e, lambda t: t, None)
 
 
 def prescribed_form_exists(D: int) -> tuple[bool, Witness | None]:
@@ -119,7 +121,7 @@ def prescribed_form_exists(D: int) -> tuple[bool, Witness | None]:
     and the principal cycle is walked once to find which t^4 lie on it.
     """
     _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
-    return _first_witness(D, lambda t, e: _canonical_bar(*t, D) != t,
+    return _first_witness(D, lambda t: _canonical_bar(*t, D) != t,
                           lambda t: _compose(*t, *t, D), None)
 
 

@@ -4,11 +4,27 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from qforms.errors import DomainError
-from qforms.forms import GEN_S, GEN_T, GEN_T_INV, Form, Mat2, content, discriminant
+from qforms.forms import Form, Mat2, act, content, discriminant
 from qforms.lattice import KleinPair, gross
 from square_oracle import extend_unimodular
 
-from math import gcd
+from math import gcd, isqrt
+
+
+# Generators of SL2(Z) for the brute-force orbit oracles and random words
+GEN_S = Mat2(0, -1, 1, 0)
+GEN_T = Mat2(1, 1, 0, 1)
+GEN_T_INV = Mat2(1, -1, 0, 1)
+
+
+def mat_add(x, y):
+    """The entrywise sum x + y of two Mat2 (vectors of Z^4)."""
+    return Mat2(x.m11 + y.m11, x.m12 + y.m12, x.m21 + y.m21, x.m22 + y.m22)
+
+
+def mat_sub(x, y):
+    """The entrywise difference x - y of two Mat2."""
+    return Mat2(x.m11 - y.m11, x.m12 - y.m12, x.m21 - y.m21, x.m22 - y.m22)
 
 
 @pytest.fixture
@@ -106,3 +122,38 @@ def outcome(fn, *args):
         return ("ok", fn(*args))
     except DomainError as exc:
         return ("err", exc.code)
+
+
+def primitive_form(draw, disc):
+    """A primitive form (a, b, (b^2 - disc)/4a) of discriminant disc."""
+    b = 2 * draw(st.integers(-300, 300)) + disc % 2
+    m = (b * b - disc) // 4
+    if m == 0:  # disc = b^2: (a, b, 0) for any a
+        a = draw(st.integers(1, 300))
+    else:
+        a = draw(st.sampled_from([a for a in range(1, min(abs(m), 1000) + 1) if m % a == 0]))
+    a *= draw(st.sampled_from((1, -1)))
+    f = Form(a, b, (b * b - disc) // (4 * a))
+    assume(content(f) == 1)
+    return f
+
+
+@st.composite
+def regime_forms(draw):
+    """Two forms m1 g1 and m2 g2 of one discriminant D = (m1 m2)^2 D0 with
+    coprime contents m1, m2, each moved by an SL2(Z) element with entries
+    of about 10^20; D0 < 0, D0 > 0 not a square, or D0 a square."""
+    regime = draw(st.sampled_from(("definite", "indefinite", "square")))
+    m1, m2 = draw(st.sampled_from(((1, 1), (1, 1), (2, 1), (1, 3), (3, 4), (5, 2))))
+    if regime == "square":
+        d0 = draw(st.integers(1, 200)) ** 2
+    elif regime == "definite":
+        d0 = -4 * draw(st.integers(1, 25000)) + draw(st.sampled_from((0, 1)))
+    else:
+        d0 = 4 * draw(st.integers(1, 1000)) + draw(st.sampled_from((0, 1)))
+        assume(isqrt(d0) ** 2 != d0)
+    g1, g2 = primitive_form(draw, m2 * m2 * d0), primitive_form(draw, m1 * m1 * d0)
+    f1, f2 = Form(m1 * g1.a, m1 * g1.b, m1 * g1.c), Form(m2 * g2.a, m2 * g2.b, m2 * g2.c)
+    if draw(st.booleans()):
+        f1, f2 = f2, f1
+    return act(draw(large_sl2_matrices(10**10)), f1), act(draw(large_sl2_matrices(10**10)), f2)

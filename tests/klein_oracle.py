@@ -37,7 +37,8 @@ from qforms.errors import (
     ZeroDeterminant,
     ZeroDiscriminant,
 )
-from qforms.forms import GEN_S, Form, FormClass, Mat2, act, bar, content, discriminant
+from conftest import GEN_S, mat_add, mat_sub
+from qforms.forms import Form, FormClass, Mat2, act, bar, content, discriminant
 from qforms.lattice import KleinPair, Plane, _pair_plucker, form_of, gross
 
 
@@ -71,8 +72,8 @@ def klein_map(plane):
         raise ZeroDiscriminant("Klein vectors require disc(q_L) != 0")
     v1, v2 = plane.basis()
     t = (v1 @ v2.bar()).trace()
-    a1 = (v1 @ v2.bar()).scale(2) - Mat2.identity().scale(t)
-    a2 = (v2.bar() @ v1).scale(2) - Mat2.identity().scale(t)
+    a1 = mat_sub((v1 @ v2.bar()).scale(2), Mat2.identity().scale(t))
+    a2 = mat_sub((v2.bar() @ v1).scale(2), Mat2.identity().scale(t))
     return KleinPair(a1, a2)
 
 
@@ -117,7 +118,7 @@ def klein_inverse(p):
         raise ZeroDeterminant(f"solution lattice has rank {len(kern)}, expected 2")
     w1 = Mat2.from_coords(*kern[0])
     w2 = Mat2.from_coords(*kern[1])
-    g = next(c for c in (w1, w2, w1 + w2) if c.det() != 0)
+    g = next(c for c in (w1, w2, mat_add(w1, w2)) if c.det() != 0)
     ref = (p.a1 @ g, g) if g.det() > 0 else (g, p.a1 @ g)
     if orientation_sign((w1, w2), ref) < 0:
         w2 = -w2

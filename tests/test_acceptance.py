@@ -9,7 +9,7 @@ import random
 import time
 from math import gcd, isqrt
 
-from conftest import random_sl2
+from conftest import GEN_S, GEN_T, GEN_T_INV, random_sl2
 from qforms.cli import main
 from qforms.compose import (
     class_compose,
@@ -22,9 +22,6 @@ from qforms.compose import (
 )
 from qforms.cube import cube_from_forms, cube_law_check, negate_layer, reflect, slicings
 from qforms.forms import (
-    GEN_S,
-    GEN_T,
-    GEN_T_INV,
     Form,
     FormClass,
     act,

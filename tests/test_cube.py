@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import klein_oracle
-from conftest import forms_of_disc, large_sl2_matrices, outcome, random_form, random_sl2, same_disc_pairs
+from conftest import GEN_S, forms_of_disc, large_sl2_matrices, outcome, random_form, random_sl2, same_disc_pairs
 
 from qforms.compose import class_bar, class_compose
 from qforms.cube import (
@@ -14,7 +14,7 @@ from qforms.cube import (
     slicings,
 )
 from qforms.errors import MismatchedDiscriminant, NotPairPrimitive, OutOfRange, ZeroForm
-from qforms.forms import GEN_S, Form, FormClass, act, bar, content, discriminant, form_class, neg
+from qforms.forms import Form, FormClass, act, bar, content, discriminant, form_class, neg
 from qforms.lattice import Mat2, Plane, form_of, klein_map, q_of_plane
 
 PLANE_23 = Plane.from_basis(Mat2.identity(), Mat2(1, -6, 1, 0))

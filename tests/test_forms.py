@@ -8,13 +8,10 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import large_sl2_matrices, random_form, random_sl2, sl2_matrices
+from conftest import GEN_S, GEN_T, GEN_T_INV, large_sl2_matrices, random_form, random_sl2, sl2_matrices
 from qforms.compose import class_group
 from qforms.errors import NotUnimodular, ZeroDiscriminant, ZeroForm
 from qforms.forms import (
-    GEN_S,
-    GEN_T,
-    GEN_T_INV,
     Form,
     FormClass,
     Mat2,

@@ -8,54 +8,17 @@ and error codes at coefficients up to about 10^40, for D < 0, D > 0 not
 a square and D a square, primitive and not.
 """
 
-from math import isqrt
-
 from hypothesis import assume, given, settings, strategies as st
 
 import klein_oracle
-from conftest import large_sl2_matrices, outcome
+from conftest import mat_add, outcome, regime_forms
 from qforms import compose, cube, forms, lattice
 from qforms.cube import Cube, cube_from_forms, cube_law_check, negate_layer, reflect
-from qforms.forms import Form, FormClass, act, content
+from qforms.forms import Form, FormClass
 from qforms.lattice import KleinPair, Mat2, Plane, gross, klein_inverse, q_of_plane, verify_composition_identity
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 HUGE = 10**40
-
-
-def primitive_form(draw, disc):
-    """A primitive form (a, b, (b^2 - disc)/4a) of discriminant disc."""
-    b = 2 * draw(st.integers(-300, 300)) + disc % 2
-    m = (b * b - disc) // 4
-    if m == 0:  # disc = b^2: (a, b, 0) for any a
-        a = draw(st.integers(1, 300))
-    else:
-        a = draw(st.sampled_from([a for a in range(1, min(abs(m), 1000) + 1) if m % a == 0]))
-    a *= draw(st.sampled_from((1, -1)))
-    f = Form(a, b, (b * b - disc) // (4 * a))
-    assume(content(f) == 1)
-    return f
-
-
-@st.composite
-def regime_forms(draw):
-    """Two forms m1 g1 and m2 g2 of one discriminant D = (m1 m2)^2 D0 with
-    coprime contents m1, m2, each moved by an SL2(Z) element with entries
-    of about 10^20; D0 < 0, D0 > 0 not a square, or D0 a square."""
-    regime = draw(st.sampled_from(("definite", "indefinite", "square")))
-    m1, m2 = draw(st.sampled_from(((1, 1), (1, 1), (2, 1), (1, 3), (3, 4), (5, 2))))
-    if regime == "square":
-        d0 = draw(st.integers(1, 200)) ** 2
-    elif regime == "definite":
-        d0 = -4 * draw(st.integers(1, 25000)) + draw(st.sampled_from((0, 1)))
-    else:
-        d0 = 4 * draw(st.integers(1, 1000)) + draw(st.sampled_from((0, 1)))
-        assume(isqrt(d0) ** 2 != d0)
-    g1, g2 = primitive_form(draw, m2 * m2 * d0), primitive_form(draw, m1 * m1 * d0)
-    f1, f2 = Form(m1 * g1.a, m1 * g1.b, m1 * g1.c), Form(m2 * g2.a, m2 * g2.b, m2 * g2.c)
-    if draw(st.booleans()):
-        f1, f2 = f2, f1
-    return act(draw(large_sl2_matrices(10**10)), f1), act(draw(large_sl2_matrices(10**10)), f2)
 
 
 @st.composite
@@ -70,13 +33,13 @@ def klein_pairs(draw):
         k = draw(st.sampled_from((2, 3, -6)))
         pair = KleinPair(pair.a1.scale(k), pair.a2.scale(k))
     elif kind == "mismatched":
-        pair = KleinPair(pair.a1, pair.a2 + Mat2(2, 0, 0, -2))
+        pair = KleinPair(pair.a1, mat_add(pair.a2, Mat2(2, 0, 0, -2)))
     elif kind == "zero-det":
         x, y = draw(st.integers(-50, 50)), draw(st.integers(1, 50))
         zero = gross(Form(x * x, 2 * x * y, y * y))
         pair = KleinPair(zero, zero)
     elif kind == "not-gross":
-        pair = KleinPair(pair.a1, pair.a2 + draw(st.sampled_from((Mat2(0, 1, 0, 0), Mat2(0, 0, 0, 1)))))
+        pair = KleinPair(pair.a1, mat_add(pair.a2, draw(st.sampled_from((Mat2(0, 1, 0, 0), Mat2(0, 0, 0, 1))))))
     return pair
 
 

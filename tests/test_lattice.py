@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import hnf_oracle
 import klein_oracle
-from conftest import large_sl2_matrices, random_form, random_klein_pair, random_sl2, same_disc_pairs
+from conftest import GEN_S, large_sl2_matrices, mat_add, mat_sub, random_form, random_klein_pair, random_sl2, same_disc_pairs
 from qforms.compose import class_compose, dirichlet_compose
 from qforms.errors import (
     DomainError,
@@ -18,7 +18,7 @@ from qforms.errors import (
     NotUnimodular,
     ZeroDeterminant,
 )
-from qforms.forms import GEN_S, Form, FormClass, act, bar, content, discriminant, form_class, neg
+from qforms.forms import Form, FormClass, act, bar, content, discriminant, form_class, neg
 from qforms.lattice import (
     KleinPair,
     Mat2,
@@ -161,8 +161,8 @@ class TestPlane:
             v1, v2 = p.basis()
             g = random_sl2(rng)
             (a, b), (c, d) = g.rows()
-            w1 = v1.scale(a) + v2.scale(b)
-            w2 = v1.scale(c) + v2.scale(d)
+            w1 = mat_add(v1.scale(a), v2.scale(b))
+            w2 = mat_add(v1.scale(c), v2.scale(d))
             assert Plane.from_basis(w1, w2) == p
 
     def test_opposite_reverses(self):
@@ -483,7 +483,7 @@ class TestHnfAgainstOracle:
         for _ in range(2000):
             p1, q1, r1, p2, q2, r2 = (rng.randint(-10**30, 10**30) for _ in range(6))
             a1, a2 = Mat2(p1, q1, r1, -p1), Mat2(p2, q2, r2, -p2)
-            images = [(a1 @ e - e @ a2).coords() for e in units]
+            images = [mat_sub(a1 @ e, e @ a2).coords() for e in units]
             # column i of the matrix is the image of the i-th basis vector
             assert klein_oracle.map_matrix(a1, a2) == [[images[i][j] for i in range(4)] for j in range(4)]
 
@@ -566,7 +566,7 @@ def huge_klein_pairs(draw):
         pair = KleinPair(Mat2(p1, 2 * q1, 2 * r1, -p1), Mat2(p2, 2 * q2, 2 * r2, -p2))
         if kind == "not-gross":  # an odd off-diagonal entry or a nonzero trace
             odd = draw(st.sampled_from((Mat2(0, 1, 0, 0), Mat2(0, 0, 1, 0), Mat2(0, 0, 0, 1))))
-            pair = KleinPair(pair.a1 + odd, pair.a2) if draw(st.booleans()) else KleinPair(pair.a1, pair.a2 + odd)
+            pair = KleinPair(mat_add(pair.a1, odd), pair.a2) if draw(st.booleans()) else KleinPair(pair.a1, mat_add(pair.a2, odd))
         return pair
     if kind == "zero-det":
         x, y = draw(st.integers(-50, 50)), draw(st.integers(1, 50))
@@ -597,7 +597,7 @@ def huge_bases(draw):
                                           Plane.from_basis(Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0)))))
         plane = transform_plane(plane, draw(large_sl2_matrices(10**5)), draw(large_sl2_matrices(10**5)))
         (a, b), (c, d) = draw(large_sl2_matrices(10**10)).rows()
-        return plane.v1.scale(a) + plane.v2.scale(b), plane.v1.scale(c) + plane.v2.scale(d)
+        return mat_add(plane.v1.scale(a), plane.v2.scale(b)), mat_add(plane.v1.scale(c), plane.v2.scale(d))
     v1 = Mat2(*(draw(huge_ints) for _ in range(4)))
     v2 = Mat2(*(draw(huge_ints) for _ in range(4)))
     if kind == "dependent":
@@ -661,8 +661,8 @@ class TestClosedFormAgainstKernelOracle:
         plane = outcome(Plane.from_basis, *basis)[1]
         if isinstance(plane, str):  # not a summand
             return
-        inside = plane.v1.scale(k1) + plane.v2.scale(k2)
-        for v in (inside, inside + Mat2(*x), Mat2(*x), inside.scale(3)):
+        inside = mat_add(plane.v1.scale(k1), plane.v2.scale(k2))
+        for v in (inside, mat_add(inside, Mat2(*x)), Mat2(*x), inside.scale(3)):
             assert plane.contains(v) == klein_oracle.contains(plane, v)
         assert plane.contains(inside)
 
@@ -674,7 +674,7 @@ class TestClosedFormAgainstKernelOracle:
             for t in range(4):
                 if s != t:
                     plane = Plane.from_basis(units[s], units[t])
-                    for x in units + [units[0] + units[3], units[1] - units[2]]:
+                    for x in units + [mat_add(units[0], units[3]), mat_sub(units[1], units[2])]:
                         assert plane.contains(x) == klein_oracle.contains(plane, x)
 
     def test_isotropic_plane_keeps_zero_form(self):

@@ -1,8 +1,10 @@
 import time
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
+from conftest import outcome
+from qforms import seifert
 from qforms.compose import class_compose, class_group, special_square
 from qforms.errors import (
     MismatchedDiscriminant,
@@ -85,6 +87,22 @@ class TestExistence:
         for d in range(-399, 0, 4):
             if prescribed_form_exists(d)[0]:
                 assert nonisotopic_exists(d)[0]
+
+    def test_identity_only_where_compared(self, monkeypatch):
+        # prescribed_form_exists compares t^2 with its bar, never with the
+        # identity; nonisotopic_exists reduces the identity once for D < 0
+        # and square D, and not at all for positive non-square D
+        ds = [-23, -11, -71, -4, 1, 9, 25, 225, 5, 13, 21, 4]
+        want = {d: [outcome(fn, d) for fn in (prescribed_form_exists, nonisotopic_exists)] for d in ds}
+        calls = []
+        real = seifert._identity
+        monkeypatch.setattr(seifert, "_identity", lambda D: calls.append(D) or real(D))
+        for d in ds:
+            calls.clear()
+            assert outcome(prescribed_form_exists, d) == want[d][0]
+            assert calls == []
+            assert outcome(nonisotopic_exists, d) == want[d][1]
+            assert calls == ([d] if d < 0 or isqrt(d) ** 2 == d else [])
 
 
 class TestCriteria:
