@@ -2,12 +2,13 @@
 
 Every subcommand builds one JSON document and renders its text form from
 that document; ``main`` prints the document with ``--json`` and the text
-otherwise.  Identical invocations produce byte-identical output.  Exit
-codes: 0 success, 1 domain error (with a stable machine-readable code in
-JSON mode), 2 usage error.  The CLI reads and writes no files:
-``--cache-dir`` is accepted for compatibility and ignored.  ``lattice``,
-``cube`` and ``seifert`` are imported only by the commands that use
-them, so the other commands do not pay for their import at start-up.
+otherwise (``classgroup`` builds its table for ``--json`` only).
+Identical invocations produce byte-identical output.  Exit codes: 0
+success, 1 domain error (with a stable machine-readable code in JSON
+mode), 2 usage error.  The CLI reads and writes no files: ``--cache-dir``
+is accepted for compatibility and ignored.  ``lattice``, ``cube`` and
+``seifert`` are imported only by the commands that use them, so the
+other commands do not pay for their import at start-up.
 """
 
 from __future__ import annotations
@@ -135,7 +136,10 @@ def _cmd_compose(args) -> tuple[dict, str]:
 
 
 def _cmd_classgroup(args) -> tuple[dict, str]:
-    doc = compose.class_group(_resolve_disc(args)).to_dict()
+    group = compose.class_group(_resolve_disc(args))
+    # the text shows the elements only, so only JSON builds the O(h^2) table
+    doc = group.to_dict() if getattr(args, "json", False) else {
+        "elements": [list(s.coeffs()) for s in group.elements]}
     return doc, "\n".join(_line(e) for e in doc["elements"])
 
 

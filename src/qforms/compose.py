@@ -25,30 +25,30 @@ reduces it in the regime D names and builds its class once.
 (Cox, Primes of the form x^2 + ny^2, Lemma 2.25, in closed form), but no
 composition goes through it.
 
-Class groups are enumerated per discriminant regime: Gauss-reduced forms
-of both definiteness signs for D < 0, reduced cycles for positive
-non-square D, and the residue parametrization a mod N -> [a x^2 + N x y]
-for D = N^2.  Both non-square regimes list forms from ``_roots_mod_4a``:
-for each a up to a bound, the square roots z mod 2a of D mod 4a, built
-from a least-prime-factor sieve by Tonelli-Shanks, Hensel lifting and CRT
+Class groups are enumerated per discriminant regime by ``_class_triples``,
+with one contract for all of them: it returns the sorted canonical
+triples that the algorithms compose, for D < 0 the positive classes only,
+and the identity, the triple its enumeration lists first.  Both
+non-square regimes list forms from ``_roots_mod_4a``: for each a up to a
+bound, a = 1 first, the square roots z mod 2a of D mod 4a, built from a
+least-prime-factor sieve by Tonelli-Shanks, Hensel lifting and CRT
 (Cohen, section 1.5), in O(sqrt|D|) root steps.  Each root gives one b.
 For D < 0, a <= sqrt(|D|/3) and b is z moved into (-a, a]; the forms
-with c >= a (and b >= 0 when a = c) are reduced already, so they and
-their negatives become classes with no further reduction, as do the
-canonical triples (a, N, 0), 0 < a < N coprime to N, of D = N^2.  For
-positive non-square D, every
-cycle holds a reduced form (+-a, b, +-c) with 5a^2 <= D (Markov's bound
-on the least value of a form, see ``_indefinite_classes``), so only those
-forms are listed, with b moved into the reduced window.  ``forms._walk``
-walks the cycle of each listed form that no earlier walk has met, once:
-it strikes the listed forms on that cycle off one set and returns the
-cycle's least form, the class representative, so R reduced forms cost
-O(R) steps.  ``class_group`` raises TooLarge before an enumeration longer
-than ``_CLASS_GROUP_SCAN_MAX`` steps.
+with c >= a (and b >= 0 when a = c) are reduced already, so they are
+the classes, (1, D mod 2, .) first; ``class_group`` adds their negatives
+at the API edge.  For D = N^2 the residues a mod N coprime to N give the
+canonical triples (a, N, 0) of [a x^2 + N x y]: (1, N, 0) first, or
+(0, 1, 0) for N = 1.  For positive non-square D, every cycle holds a
+reduced form (+-a, b, +-c) with 5a^2 <= D (Markov's bound, see
+``_indefinite_classes``), so only those forms are listed, with b moved
+into the reduced window, a translate of the principal form first.
+``forms._walk`` walks the cycle of each listed form that no earlier walk
+has met, once: it strikes the listed forms on that cycle off one set and
+returns the cycle's least form, the class representative, so R reduced
+forms cost O(R) steps.  ``class_group`` raises TooLarge before an
+enumeration longer than ``_CLASS_GROUP_SCAN_MAX`` steps.
 
-``_class_triples`` is the enumeration on canonical coefficient triples;
-``class_group`` wraps its result in ``FormClass`` objects.  The loops
-that compose classes pairwise (``OrientedClassGroup.table``,
+The loops that compose classes pairwise (``OrientedClassGroup.table``,
 ``element_order``, ``s_plus_subgroup`` and the coset step of
 ``seifert.enumerate_realizable_pairs``) keep each class as its triple
 and call ``_compose_reduced`` (``_compose``, then ``forms._canonical``),
@@ -56,13 +56,12 @@ the helper ``class_compose`` wraps; a ``FormClass`` is built only for a
 value a public function returns.  ``table`` composes each unordered pair
 once, and for D < 0 only the pairs of positive classes: the negative half
 of the table follows from the bar and the negation of the indices.  It
-raises TooLarge past ``_TABLE_MAX`` compositions.  ``_special_witnesses``
-is the one list of special witnesses: the divisor pairs (a, c) of
-(1 - D)/4 with a > 0, which the ``seifert`` queries search in order.
-``_half_special_squares`` squares those with a^2 <= |ac| into T'.
-``s_plus_subgroup`` and the coset step compose with T' only: no
-identity, one of each inverse pair, and the coset step composes only
-the positive classes of D < 0;
+and the coset step raise TooLarge past ``_TABLE_MAX`` compositions.
+``_special_witnesses`` is the one list of special witnesses: the divisor
+pairs (a, c) of (1 - D)/4 with a > 0, which the ``seifert`` queries
+search in order.  ``_half_special_squares`` squares those with
+a^2 <= |ac| into T'.  ``s_plus_subgroup`` and the coset step compose
+with T' only: no identity and one of each inverse pair;
 ``s_plus_subgroup`` raises TooLarge before its closure would take
 more than ``_S_PLUS_MAX`` compositions.  Every function here is pure:
 nothing reads or writes files.
@@ -288,9 +287,8 @@ def identity_class(D: int) -> FormClass:
 def _identity(D: int) -> tuple[int, int, int]:
     # the canonical coefficients of the neutral class of discriminant D
     _check_discriminant(D)
-    if D % 4 == 1:
-        return _canonical(1, 1, (1 - D) // 4, D)
-    return _canonical(1, 0, -D // 4, D)
+    b = D % 2
+    return _canonical(1, b, (b - D) // 4, D)
 
 
 def _check_discriminant(D: int) -> None:
@@ -495,9 +493,9 @@ def _markov_forms(D: int, sq: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _indefinite_classes(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, int, int]]:
-    """The canonical triples of the classes of D > 0 non-square and the
-    identity's among them.
+def _indefinite_classes(D: int) -> list[tuple[int, int, int]]:
+    """The canonical triples of the classes of D > 0 non-square, the
+    identity's first.
 
     Every cycle holds a form of ``_markov_forms``: by Markov's theorem each
     form takes a primitive value v with |v| <= sqrt(D/5) < sqrt(D)/2, and a
@@ -506,24 +504,19 @@ def _indefinite_classes(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, 
     the cycle of each of them is walked once: the walk strikes off the
     Markov forms on its cycle and returns its least form, the class
     representative.  The zero form lies on no cycle, so the set never
-    empties and every walk returns its least form.
+    empties and every walk returns its least form.  The first Markov form,
+    (1, b, (b^2 - D)/4) with b = sq or sq - 1 of D's parity, is a translate
+    of the principal form, so the first class is the identity.
     """
     sq = isqrt(D)
-    # (1, b, (b^2 - D)/4) with b = sq or sq - 1 of D's parity is reduced and
-    # a translate of the principal form, so its cycle is the identity class
-    b = sq - (sq - D) % 2
     markov = _markov_forms(D, sq)
     pending = {(0, 0, 0), *markov}
-    classes = [_walk(1, b, (b * b - D) // 4, D, sq, stop=pending)]
-    for f in markov:
-        if f in pending:
-            classes.append(_walk(*f, D, sq, stop=pending))
-    return classes, classes[0]
+    return [_walk(*f, D, sq, stop=pending) for f in markov if f in pending]
 
 
 def _class_triples(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, int, int]]:
-    # the sorted canonical triples of the classes of D and the identity's;
-    # the budget of class_group is checked here, before any enumeration
+    # the class list of D and its identity (see the module docstring); the
+    # budget of class_group is checked here, before any enumeration
     _check_discriminant(D)
     N = isqrt(D) if D > 0 else 0
     square = D > 0 and N * N == D
@@ -531,18 +524,13 @@ def _class_triples(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, int, 
     if scan > _CLASS_GROUP_SCAN_MAX:
         raise TooLarge(f"class groups are enumerated only up to {_CLASS_GROUP_SCAN_MAX} "
                        f"steps, D = {D} needs about {scan}")
-    if D > 0 and not square:
-        triples, identity = _indefinite_classes(D)
+    if D < 0:  # reduced already: a = 1 comes first
+        triples = _reduced_definite(D)
+    elif square:  # (a, N, 0) is canonical already: (1, N, 0), or (0, 1, 0) for N = 1
+        triples = [(a, N, 0) for a in range(N) if gcd(a, N) == 1]
     else:
-        identity = _identity(D)
-        if D < 0:  # reduced already, and their negatives are canonical too
-            triples = _reduced_definite(D)
-            triples += [(-a, -b, -c) for a, b, c in triples]
-        elif N == 1:
-            triples = [identity]
-        else:
-            # (a, N, 0) with gcd(a, N) = 1, 0 < a < N is canonical already
-            triples = [(a, N, 0) for a in range(1, N) if gcd(a, N) == 1]
+        triples = _indefinite_classes(D)
+    identity = triples[0]
     triples.sort()
     return triples, identity
 
@@ -558,6 +546,8 @@ def class_group(D: int) -> OrientedClassGroup:
     _CLASS_GROUP_SCAN_MAX steps.
     """
     triples, identity = _class_triples(D)
+    if D < 0:  # the negative classes, sorted: negation reverses the order
+        triples = [(-a, -b, -c) for a, b, c in reversed(triples)] + triples
     return OrientedClassGroup(D, [FormClass(Form(*t), D) for t in triples], triples.index(identity))
 
 
@@ -596,24 +586,25 @@ _DIVISOR_PAIRS_MAX = 10**14
 # Positive non-square D count D/8 steps, so D > 1.6 * 10^8 is refused,
 # although it takes at most 0.15 s for the 200 D just below that bound
 # (0.03 s at D = 100000001, h = 720); each cycle walk is also bounded by
-# forms._WALK_MAX.  The coset step of seifert.enumerate_realizable_pairs
-# has no bound of its own yet, so these counts stay.  A residue of the
-# square scan becomes a class with no reduction (about 3 us), but each
-# class holds about 300 bytes until the call returns, so a residue counts
-# as 150 steps: that bounds the peak memory, not the time.  At the bound,
-# D = 133333^2, it is 132,300 classes, about 40 MB, in 0.4 s; one step per
-# residue would allow 2 * 10^7 classes, about 6 GB (2-vCPU x86 host,
-# Python 3.11)
+# forms._WALK_MAX.  A residue of the square scan becomes a class with no
+# reduction (about 3 us), but each class holds about 300 bytes until the
+# call returns, so a residue counts as 150 steps: that bounds the peak
+# memory, not the time.  At the bound, D = 133333^2, it is 132,300
+# classes, about 40 MB, in 0.4 s; one step per residue would allow
+# 2 * 10^7 classes, about 6 GB (2-vCPU x86 host, Python 3.11)
 _CLASS_GROUP_SCAN_MAX = 2 * 10**7
 
-# OrientedClassGroup.table refuses a group whose table weighs more
-# compositions than this, h(h+1)/2 for h classes, so h > 631.  One
-# composition with its reduction takes 2.5-4 us for D < 0 (tables of
-# h = 78 to 210), 2.8 us for D = N^2 (h = 630 at 631^2: 0.56 s) and
-# 9-10 us for D = 100000001 (h = 720), so about 2 s at the bound
-# (2-vCPU x86 host, Python 3.11).  A table of D < 0 composes only its
-# k = h/2 positive classes, k(k+1)/2 compositions, but is still weighed
-# as h(h+1)/2, so the same D are refused
+# The compositions per call of the two loops that compose a class list:
+# OrientedClassGroup.table refuses a group whose table weighs more than
+# this, h(h+1)/2 for h classes, so h > 631, and the coset step of
+# seifert.enumerate_realizable_pairs refuses h * |T'| above it, h the
+# classes it composes.  One composition with its reduction takes
+# 2.5-4 us for D < 0 (tables of h = 78 to 210), 2.8 us for D = N^2
+# (h = 630 at 631^2: 0.56 s) and 9-10 us for D = 100000001 (h = 720), so
+# about 2 s at the bound (2-vCPU x86 host, Python 3.11).  A table of
+# D < 0 composes only its k = h/2 positive classes, k(k+1)/2
+# compositions, but is still weighed as h(h+1)/2, so the same D are
+# refused
 _TABLE_MAX = 2 * 10**5
 
 # s_plus_subgroup refuses a closure that would take more compositions
@@ -749,6 +740,4 @@ def phi_n(N: int, a: int) -> FormClass:
         raise NotOddPositive(f"N must be odd and positive, got {N}")
     if gcd(a, N) != 1:
         raise NotCoprimeResidue(f"gcd({a}, {N}) != 1")
-    if N == 1:
-        return form_class(0, 1, 0)
     return form_class(a % N, N, 0)

@@ -44,6 +44,7 @@ from .compose import (
     _require_one_mod_4,
     _special_square,
     _special_witnesses,
+    _TABLE_MAX,
 )
 from .errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, OutOfRange, TooLarge
 from .forms import Form, FormClass, Mat2, _canonical_bar, _ext_gcd, _reduce_indefinite, _walk
@@ -188,7 +189,7 @@ def squaredisc_criterion(N: int) -> bool:
         raise NotOddPositive(f"N must be odd and positive, got {N}")
     result = N > 3
     # cross-check through the explicit isomorphism: [Q_{N,2}]^2 = phi(4)
-    if result != (phi_n(N, 4 % N if N > 1 else 1) != identity_class(N * N)):
+    if result != (phi_n(N, 4) != identity_class(N * N)):
         raise AssertionError(f"phi_N cross-check disagrees with the criterion for N = {N}")
     return result
 
@@ -216,14 +217,15 @@ def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> li
     T holds the identity and is closed under inversion, and s2 = t^-1 * s1
     exactly when s1 = t * s2, so the pairs are the diagonal and
     {s1, t * s1} for t in T' (T without the identity, one of each inverse
-    pair).  For D < 0 only the positive classes are composed: with N the
-    class of the negative principal form, [-u] = N [bar u], so
-    t * (-u) = -(bar t * u), and T is closed under bar; the pairs of
-    negative classes are the negatives {-u, -v} of the positive pairs
-    {u, v}, with the same flag.  The cost is the class enumeration (once
-    per stratum) plus h * |T'| compositions, h the number of classes
-    composed (half the class list for D < 0); no composition table and no
-    FormClass is built.
+    pair).  For D < 0 ``_class_triples`` lists the positive classes only,
+    and only they are composed: with N the class of the negative principal
+    form, [-u] = N [bar u], so t * (-u) = -(bar t * u), and T is closed
+    under bar; the pairs of negative classes are the negatives {-u, -v} of
+    the positive pairs {u, v}, with the same flag.  The cost is the class
+    enumeration (once per stratum) plus h * |T'| compositions, h the number
+    of classes composed (half the classes for D < 0); TooLarge is raised
+    before the first composition when that exceeds _TABLE_MAX.  No
+    composition table and no FormClass is built.
     """
     _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
     _require_one_mod_4(D)
@@ -231,13 +233,15 @@ def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> li
     if include_nonprimitive:
         m = 3
         while m * m <= abs(D):
-            if D % (m * m) == 0 and (D // (m * m)) % 4 == 1:
+            if D % (m * m) == 0:  # D / m^2 = 1 mod 4, as m^2 = 1 mod 8
                 # m times a canonical triple is canonical
                 classes += [(m * a, m * b, m * c) for a, b, c in _class_triples(D // (m * m))[0]]
             m += 2
-    if D < 0:
-        classes = [t for t in classes if t[0] > 0]
     squares = _half_special_squares(D)
+    steps = len(classes) * len(squares)
+    if steps > _TABLE_MAX:
+        raise TooLarge(f"realizable pairs are enumerated only up to {_TABLE_MAX} compositions, "
+                       f"D = {D} with {len(classes)} classes and {len(squares)} squares needs {steps}")
     pairs = {(t1, t1) for t1 in classes}
     for t1 in classes:
         for t in squares:

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from qforms.cli import main
-from qforms.compose import class_group
+from qforms.compose import OrientedClassGroup, class_group
 from qforms.cube import Cube
 from qforms.lattice import pair_from_dict, plane_from_dict
+from test_forms import time_limit
 
 
 def run_cli(capsys, *argv):
@@ -333,6 +334,17 @@ class TestBudgetsAndStartup:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert code == 1 and json.loads(out)["error"] == "too-large"
+
+    def test_classgroup_text_builds_no_table(self, capsys, monkeypatch):
+        # the text output lists the elements only, so it needs no table and
+        # is not held to the table budget that --json hits above
+        def table(self):
+            raise AssertionError("classgroup built a table in text mode")
+
+        monkeypatch.setattr(OrientedClassGroup, "table", table)
+        with time_limit(1.0):
+            code, out, _ = run_cli(capsys, "classgroup", "--", "-100000007")
+        assert code == 0 and len(out.splitlines()) == 14506
 
     def test_start_up_imports_no_unused_module(self):
         # lattice, cube and seifert are imported by the commands that use them

@@ -7,7 +7,7 @@ from math import gcd, isqrt
 
 from hypothesis import assume, given, settings, strategies as st
 
-from qforms.compose import class_compose, class_group, _class_triples, _compose_reduced
+from qforms.compose import class_compose, class_group, _compose_reduced
 from qforms.forms import _canonical, _canonical_bar
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -25,7 +25,7 @@ def test_canonical_bar_is_the_reduced_bar():
     for D0 in range(-5000, -2):
         if D0 % 4 not in (0, 1):
             continue
-        triples = _class_triples(D0)[0]
+        triples = [s.coeffs() for s in class_group(D0).elements]
         m = 1
         while m * m * -D0 <= 5000:
             D = m * m * D0
