@@ -40,7 +40,7 @@ at the API edge.  For D = N^2 the residues a mod N coprime to N give the
 canonical triples (a, N, 0) of [a x^2 + N x y]: (1, N, 0) first, or
 (0, 1, 0) for N = 1.  For positive non-square D, every cycle holds a
 reduced form (+-a, b, +-c) with 5a^2 <= D (Markov's bound, see
-``_indefinite_classes``), so only those forms are listed, with b moved
+``_markov_forms``), so only those forms are listed, with b moved
 into the reduced window, a translate of the principal form first.
 ``forms._walk`` walks the cycle of each listed form that no earlier walk
 has met, once: it strikes the listed forms on that cycle off one set and
@@ -60,11 +60,12 @@ and the coset step raise TooLarge past ``_TABLE_MAX`` compositions.
 ``_special_witnesses`` is the one list of special witnesses: the divisor
 pairs (a, c) of (1 - D)/4 with a > 0, which the ``seifert`` queries
 search in order.  ``_half_special_squares`` squares those with
-a^2 <= |ac| into T'.  ``s_plus_subgroup`` and the coset step compose
-with T' only: no identity and one of each inverse pair;
-``s_plus_subgroup`` raises TooLarge before its closure would take
-more than ``_S_PLUS_MAX`` compositions.  Every function here is pure:
-nothing reads or writes files.
+a^2 <= |ac| into T'.  ``_classes`` sorts those special forms and squares
+into classes, for positive non-square D with one walk per cycle they meet.
+``s_plus_subgroup`` and the coset step compose with T' only: no identity
+and one of each inverse pair; ``s_plus_subgroup`` raises TooLarge before
+its closure would take more than ``_S_PLUS_MAX`` compositions.  Every
+function here is pure: nothing reads or writes files.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ from .forms import (
     _canonical,
     _canonical_bar,
     _ext_gcd,
+    _reduce_indefinite,
     _walk,
 )
 
@@ -127,12 +129,9 @@ def _with_leading(a: int, b: int, c: int, n: int) -> tuple[int, int, int]:
 
 
 def _coprime_part(n: int, a: int) -> int:
-    # the largest divisor of n coprime to a, by gcd steps, no factoring
-    g = gcd(n, a)
-    while g != 1:
-        n //= g
-        g = gcd(n, g)
-    return n
+    # the largest divisor of n >= 1 coprime to a: gcd(n, a^k) is the part of n
+    # that a shares once k = n.bit_length() >= every exponent in n
+    return n // gcd(n, pow(a, n.bit_length(), n))
 
 
 def concordant_pair(f1: Form, f2: Form) -> tuple[Form, Form]:
@@ -482,6 +481,11 @@ def _markov_forms(D: int, sq: int) -> list[tuple[int, int, int]]:
 
     Since 2a < sqrt(D), each root z mod 2a gives exactly one reduced form:
     b is z moved into the window (sq - 2a, sq], and c = (b^2 - D) / 4a.
+    Every cycle holds one of these forms: by Markov's theorem each form
+    takes a primitive value v with |v| <= sqrt(D/5) < sqrt(D)/2, and a form
+    (v, b, c) moved into the window sqrt(D) - 2|v| < b < sqrt(D) is
+    reduced.  The first, (1, b, (b^2 - D)/4) with b = sq or sq - 1 of D's
+    parity, is a translate of the principal form.
     """
     out = []
     for a, z in _roots_mod_4a(D, isqrt(D // 5)):
@@ -493,25 +497,23 @@ def _markov_forms(D: int, sq: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _indefinite_classes(D: int) -> list[tuple[int, int, int]]:
-    """The canonical triples of the classes of D > 0 non-square, the
-    identity's first.
+def _classes(forms: list[tuple[int, int, int]], D: int) -> dict[tuple[int, int, int], tuple[int, int, int]]:
+    """The canonical triple of each class the forms of discriminant D meet,
+    mapped to the first form in it, in order of first appearance.
 
-    Every cycle holds a form of ``_markov_forms``: by Markov's theorem each
-    form takes a primitive value v with |v| <= sqrt(D/5) < sqrt(D)/2, and a
-    form (v, b, c) moved into the window sqrt(D) - 2|v| < b < sqrt(D) is
-    reduced.  The Markov forms no walk has met yet are kept in one set, and
-    the cycle of each of them is walked once: the walk strikes off the
-    Markov forms on its cycle and returns its least form, the class
-    representative.  The zero form lies on no cycle, so the set never
-    empties and every walk returns its least form.  The first Markov form,
-    (1, b, (b^2 - D)/4) with b = sq or sq - 1 of D's parity, is a translate
-    of the principal form, so the first class is the identity.
+    For positive non-square D the forms are reduced with no walk, and each
+    cycle they meet is walked once, striking them off one set; the zero
+    form lies on no cycle, so every walk returns its least form.
     """
-    sq = isqrt(D)
-    markov = _markov_forms(D, sq)
-    pending = {(0, 0, 0), *markov}
-    return [_walk(*f, D, sq, stop=pending) for f in markov if f in pending]
+    sq = isqrt(D) if D > 0 else 0
+    if D < 0 or sq * sq == D:
+        first = {}
+        for f in forms:
+            first.setdefault(_canonical(*f, D), f)
+        return first
+    reduced = [_reduce_indefinite(*f, D, sq) for f in forms]
+    pending = {(0, 0, 0), *reduced}
+    return {_walk(*r, D, sq, stop=pending): f for f, r in zip(forms, reduced) if r in pending}
 
 
 def _class_triples(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, int, int]]:
@@ -528,8 +530,10 @@ def _class_triples(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, int, 
         triples = _reduced_definite(D)
     elif square:  # (a, N, 0) is canonical already: (1, N, 0), or (0, 1, 0) for N = 1
         triples = [(a, N, 0) for a in range(N) if gcd(a, N) == 1]
-    else:
-        triples = _indefinite_classes(D)
+    else:  # one walk per cycle, struck off as in _classes; the principal translate first
+        markov = _markov_forms(D, N)
+        pending = {(0, 0, 0), *markov}
+        triples = [_walk(*f, D, N, stop=pending) for f in markov if f in pending]
     identity = triples[0]
     triples.sort()
     return triples, identity
@@ -562,10 +566,6 @@ class SpecialClass:
     a: int
     c: int
     cls: FormClass
-
-    @staticmethod
-    def of(a: int, c: int) -> "SpecialClass":
-        return SpecialClass(a, c, form_class(a, 1, c))
 
     @property
     def disc(self) -> int:
@@ -640,15 +640,10 @@ def divisor_pairs(m: int) -> list[tuple[int, int]]:
 
 
 def special_classes(D: int) -> list[SpecialClass]:
-    """All classes [a x^2 + x y + c y^2] with 1 - 4ac = D, deduplicated."""
+    """All classes [a x^2 + x y + c y^2] with 1 - 4ac = D, each with its first (a, c)."""
     _require_one_mod_4(D)
-    m = (1 - D) // 4
-    seen = {}
-    for a, c in divisor_pairs(m):
-        s = SpecialClass.of(a, c)
-        if s.cls not in seen:
-            seen[s.cls] = s
-    return list(seen.values())
+    forms = [(a, 1, c) for a, c in divisor_pairs((1 - D) // 4)]
+    return [SpecialClass(a, c, FormClass(Form(*t), D)) for t, (a, _, c) in _classes(forms, D).items()]
 
 
 def special_square(a: int, c: int) -> FormClass:
@@ -684,13 +679,14 @@ def _half_special_squares(D: int) -> list[tuple[int, int, int]]:
     The squares come from ``_special_witnesses``, which has a > 0 only:
     for either sign of D, (-a, -c) gives the same square as (a, c).  The
     witnesses (a, c) and (c, a) give inverse squares, so only those with
-    a^2 <= |ac| are squared.  A square is kept unless its inverse already
+    a^2 <= |ac| are squared; the first, (1, m), squares to the identity,
+    whose class is dropped.  A square is kept unless its inverse already
     is.  The special squares are then {1} + T' + bar(T').
     """
-    squares = {_special_square(a, c, D) for a, c in _special_witnesses(D) if a * a <= abs(a * c)}
-    squares.discard(_identity(D))
+    squares = list(_classes([(a * a, 1 - 2 * a * c, c * c) for a, c in _special_witnesses(D)
+                             if a * a <= abs(a * c)], D))
     half = set()
-    for a, b, c in sorted(squares):
+    for a, b, c in sorted(squares[1:]):
         if _canonical_bar(a, b, c, D) not in half:
             half.add((a, b, c))
     return sorted(half)

@@ -224,17 +224,13 @@ def _reduce_positive_definite(a: int, b: int, c: int) -> tuple[int, int, int]:
 # Reduction: indefinite forms (D > 0, not a square)
 
 
-def _is_reduced_indefinite(a: int, b: int, sq: int) -> bool:
-    # 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b; for D not a
-    # square, x < sqrt(D) is x <= sq = isqrt(D) on integers, so this is exact
-    return 0 < b <= sq and sq - b < 2 * abs(a) <= sq + b
-
-
 def _reduce_indefinite(a: int, b: int, c: int, D: int, sq: int) -> tuple[int, int, int]:
     # Neighbor steps (a, b, c) -> (c, r, (r^2 - D) / 4c) with r ~ -b mod 2|c|
-    # in the standard window, until the form is reduced; c == 0 would force
-    # D = b^2, excluded in this regime
-    while not _is_reduced_indefinite(a, b, sq):
+    # in the standard window, until the form is reduced: 0 < b < sqrt(D) and
+    # sqrt(D) - b < 2|a| < sqrt(D) + b; for D not a square, x < sqrt(D) is
+    # x <= sq = isqrt(D) on integers, so the test is exact.  c == 0 would
+    # force D = b^2, excluded in this regime
+    while not (0 < b <= sq and sq - b < 2 * abs(a) <= sq + b):
         hi = abs(c) if c * c > D else sq  # window (hi - 2|c|, hi]
         r = hi - (hi + b) % (2 * abs(c))
         a, b, c = c, r, (r * r - D) // (4 * c)

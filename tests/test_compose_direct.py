@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import large_sl2_matrices
 from concordant_oracle import compose_by_concordant_pair
 from search_oracle import compose_by_search
-from qforms.compose import class_bar, class_compose, dirichlet_compose, identity_class
+from qforms.compose import class_bar, class_compose, dirichlet_compose, identity_class, _coprime_part
 from qforms.forms import Form, FormClass, act, content, discriminant, neg
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -97,6 +97,29 @@ def pairs_of(kind, count, seed=20240817):
             f1, f2 = f2, f1
         out.append((f1, f2))
     return out
+
+
+def coprime_part_by_gcd_steps(n, a):
+    # the largest divisor of n coprime to a: divide out gcd(n, a), then the
+    # gcd of what is left with the last divisor, until it is 1
+    g = gcd(n, a)
+    while g != 1:
+        n //= g
+        g = gcd(n, g)
+    return n
+
+
+def test_coprime_part_matches_gcd_steps():
+    for n in range(1, 1500):
+        for a in range(-60, 61):
+            assert _coprime_part(n, a) == coprime_part_by_gcd_steps(n, a), (n, a)
+    # up to 10^40, with a common factor raised to high powers in n
+    rng = random.Random(2025)
+    for _ in range(20000):
+        shared = rng.choice((1, 2, 6, 3**7 * 5, 7**15, 2 * 3 * 5 * 7 * 11 * 13))
+        n = rng.randint(1, 10**rng.randint(1, 20)) * shared ** rng.randint(0, 3)
+        a = rng.randint(-10**20, 10**20) * shared
+        assert _coprime_part(n, a) == coprime_part_by_gcd_steps(n, a), (n, a)
 
 
 class TestAgreesWithConcordantComposition:

@@ -1,7 +1,7 @@
 """Positive-discriminant class groups from the Markov range, and the cycle
 walk on small integers.
 
-``compose._indefinite_classes`` walks cycles only from the reduced forms
+``compose._class_triples`` walks cycles only from the reduced forms
 (+-a, b, +-c) with 5a^2 <= D, listed from the square roots of D mod 4a;
 ``forms._walk`` steps on (2|a|, b, 2|c|).  These tests hold both to the
 references they replaced: the reduced forms of ``classgroup_oracle``, the

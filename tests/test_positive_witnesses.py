@@ -34,20 +34,22 @@ def test_pair_answers_match_all_witnesses():
 
 
 def test_half_special_squares_take_positive_a(monkeypatch):
-    # T' with its bars is every special square but the identity, and no
-    # witness with a <= 0 is squared to find it
+    # T' with its bars is every special square but the identity, and only
+    # the witnesses with a > 0 and a^2 <= |m| are squared to find it
     cases = (5, 21, 1 + 4 * 2 * 3 * 5 * 7, 1 + 4 * 3 * 7 * 11 * 13, 1 - 4 * 2 * 3 * 5 * 7)
     want = {D: {compose.special_square(a, c).coeffs() for a, c in compose.divisor_pairs((1 - D) // 4)}
             - {compose.identity_class(D).coeffs()} for D in cases}
-    squared = []
-    special_square = compose._special_square
+    sorted_forms = []
+    classes = compose._classes
 
-    def spy(a, c, D):
-        squared.append(a)
-        return special_square(a, c, D)
+    def spy(forms, D):
+        sorted_forms.append((D, forms))
+        return classes(forms, D)
 
-    monkeypatch.setattr(compose, "_special_square", spy)
+    monkeypatch.setattr(compose, "_classes", spy)
     for D in cases:
         half = compose._half_special_squares(D)
         assert set(half) | {compose._canonical_bar(*t, D) for t in half} == want[D]
-    assert squared and min(squared) > 0
+    squares = [(D, [(a * a, 1 - 2 * a * c, c * c) for a, c in compose.divisor_pairs(m)
+                    if a > 0 and a * a <= abs(m)]) for D in cases for m in [(1 - D) // 4]]
+    assert sorted_forms == squares
