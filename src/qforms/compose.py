@@ -53,10 +53,13 @@ The loops that compose classes pairwise (``OrientedClassGroup.table``,
 ``seifert.enumerate_realizable_pairs``) keep each class as its triple
 and call ``_compose_reduced`` (``_compose``, then ``forms._canonical``),
 the helper ``class_compose`` wraps; a ``FormClass`` is built only for a
-value a public function returns.  ``table`` composes each unordered pair
-once, and for D < 0 only the pairs of positive classes: the negative half
-of the table follows from the bar and the negation of the indices.  It
-and the coset step raise TooLarge past ``_TABLE_MAX`` compositions.
+value a public function returns.  The bar is an automorphism,
+bar(x) bar(y) = bar(x y), so ``table`` and the coset step read the bar of
+each class once and compose one pair of each bar orbit: ``table`` one of
+each unordered pair {x, y} and {bar x, bar y}, and for D < 0 only the
+pairs of positive classes, the negative half of the table following from
+the bar and the negation of the indices.  Both raise TooLarge past
+``_TABLE_MAX`` compositions, weighed as if no pair were skipped.
 ``_special_witnesses`` is the one list of special witnesses: the divisor
 pairs (a, c) of (1 - D)/4 with a > 0, which the ``seifert`` queries
 search in order.  ``_half_special_squares`` squares those with
@@ -314,14 +317,16 @@ class OrientedClassGroup:
     def table(self) -> list[list[int]]:
         """The composition table as an index matrix.
 
-        The group is abelian, so each unordered pair is composed once:
-        h(h+1)/2 compositions for h classes.  For D < 0 only the k = h/2
-        positive classes are composed, k(k+1)/2 compositions, about a
-        quarter: with N the class of the negative principal form,
-        [-x] = N [bar x] and N^2 = 1, so (-x) y = -(x bar y),
-        x (-y) = -(bar x y) and (-x)(-y) = bar x bar y.  TooLarge is raised
-        before anything is allocated when h(h+1)/2 exceeds _TABLE_MAX, for
-        either sign of D.
+        The group is abelian, so each unordered pair is composed once,
+        and the bar is an automorphism, so the entry at (bar x, bar y) is
+        bar(x y): one of the pairs {x, y} and {bar x, bar y} is composed,
+        about half of the h(h+1)/2 unordered pairs for h classes.  For
+        D < 0 only the k = h/2 positive classes are composed, about half
+        of k(k+1)/2, an eighth of the pairs: with N the class of the
+        negative principal form, [-x] = N [bar x] and N^2 = 1, so
+        (-x) y = -(x bar y), x (-y) = -(bar x y) and (-x)(-y) = bar x bar y.
+        TooLarge is raised before anything is allocated when h(h+1)/2
+        exceeds _TABLE_MAX, for either sign of D.
         """
         D = self.disc
         h = len(self.elements)
@@ -330,15 +335,20 @@ class OrientedClassGroup:
                            f"D = {D} with {h} classes needs {h * (h + 1) // 2}")
         triples = [s.coeffs() for s in self.elements]
         idx = {t: i for i, t in enumerate(triples)}
-        table = [[0] * h for _ in range(h)]
+        bar = [idx[_canonical_bar(*t, D)] for t in triples]
+        table = [[-1] * h for _ in range(h)]
         # sorted, the negative classes come first: triples[h-1-i] = -triples[i]
         k = h // 2 if D < 0 else 0
         for i in range(k, h):
-            x = triples[i]
+            x, row, bi = triples[i], table[i], bar[i]
+            bar_row = table[bi]
             for j in range(i, h):
-                table[i][j] = table[j][i] = idx[_compose_reduced(x, triples[j], D)]
+                if row[j] < 0:  # not yet set as the bar of a composed entry
+                    e = idx[_compose_reduced(x, triples[j], D)]
+                    row[j] = table[j][i] = e
+                    bj = bar[j]
+                    bar_row[bj] = table[bj][bi] = bar[e]
         if D < 0:
-            bar = [idx[_canonical_bar(*t, D)] for t in triples]
             n = h - 1
             for i in range(k, h):
                 row, neg_row, bar_row = table[i], table[n - i], table[bar[i]]
@@ -598,13 +608,14 @@ _CLASS_GROUP_SCAN_MAX = 2 * 10**7
 # OrientedClassGroup.table refuses a group whose table weighs more than
 # this, h(h+1)/2 for h classes, so h > 631, and the coset step of
 # seifert.enumerate_realizable_pairs refuses h * |T'| above it, h the
-# classes it composes.  One composition with its reduction takes
-# 2.5-4 us for D < 0 (tables of h = 78 to 210), 2.8 us for D = N^2
-# (h = 630 at 631^2: 0.56 s) and 9-10 us for D = 100000001 (h = 720), so
-# about 2 s at the bound (2-vCPU x86 host, Python 3.11).  A table of
-# D < 0 composes only its k = h/2 positive classes, k(k+1)/2
-# compositions, but is still weighed as h(h+1)/2, so the same D are
-# refused
+# classes it composes.  Both compose one pair of each bar orbit, about
+# half of what they are weighed at, and a table of D < 0 composes only
+# its k = h/2 positive classes, about half of k(k+1)/2, but is still
+# weighed as h(h+1)/2, so the same D are refused.  One composition with
+# its reduction takes 2.5-4 us for D < 0 (tables of h = 78 to 210),
+# 3.1 us for D = N^2 (h = 630 at 631^2: 99,541 compositions, 0.31 s) and
+# 9-10 us for D = 100000001 (h = 720), so about 1 s at the bound (2-vCPU
+# x86 host, Python 3.11)
 _TABLE_MAX = 2 * 10**5
 
 # s_plus_subgroup refuses a closure that would take more compositions

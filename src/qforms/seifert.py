@@ -8,10 +8,12 @@ t^2 * s1 = s2, where (a, c) runs over the divisor pairs of (1 - D)/4.
 So the partners of s1 form the coset s1 * T, T the set of special
 squares t^2.  T holds the identity (witness (1, m)) and is closed under
 inversion ((a, c) and (c, a) give inverse squares), so the pairs are
-enumerated with h * |T'| compositions, T' being T without the identity
-and with one of each inverse pair, not by testing pair by pair.  For
-D < 0 only the h/2 positive classes are composed, (h/2) * |T'|
-compositions, and the pairs of negative classes are their negatives.
+enumerated by composing the classes with T', T without the identity and
+with one of each inverse pair, not by testing pair by pair.  For D < 0
+only the h/2 positive classes are composed, and the pairs of negative
+classes are their negatives.  The pair {s, t s} has the bar
+{u, t u}, u = bar(t s), so each t composes one class of each such
+orbit, about half of the classes composed.
 The witness list and T' come from ``compose`` (``_special_witnesses``,
 ``_half_special_squares``).  The three existence queries share one
 search, ``_first_witness``, which returns the first witness (a, c) in
@@ -198,12 +200,8 @@ def b4_distinguishable(s1: FormClass, s2: FormClass) -> bool:
     """s1 not in {s2, bar(s2)}: pushed-in surfaces are non-isotopic in B^4."""
     if s1.disc != s2.disc:
         raise MismatchedDiscriminant(f"{s1.disc} != {s2.disc}")
-    return _b4_distinguishable(s1.coeffs(), s2.coeffs(), s1.disc)
-
-
-def _b4_distinguishable(t1: tuple[int, int, int], t2: tuple[int, int, int], D: int) -> bool:
-    # b4_distinguishable on canonical coefficients
-    return t1 != t2 and t1 != _canonical_bar(*t2, D)
+    t1, t2 = s1.coeffs(), s2.coeffs()
+    return t1 != t2 and t1 != _canonical_bar(*t2, s1.disc)
 
 
 def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> list[dict]:
@@ -221,11 +219,17 @@ def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> li
     and only they are composed: with N the class of the negative principal
     form, [-u] = N [bar u], so t * (-u) = -(bar t * u), and T is closed
     under bar; the pairs of negative classes are the negatives {-u, -v} of
-    the positive pairs {u, v}, with the same flag.  The cost is the class
-    enumeration (once per stratum) plus h * |T'| compositions, h the number
-    of classes composed (half the classes for D < 0); TooLarge is raised
-    before the first composition when that exceeds _TABLE_MAX.  No
-    composition table and no FormClass is built.
+    the positive pairs {u, v}, with the same flag.  The bar is an
+    automorphism and t bar(t) = 1 (t is primitive), so the bar of the pair
+    {s, t * s}, which has the same flag, is the pair {u, t * u} with
+    u = bar(t * s), and s -> u is an involution of the classes composed.
+    Each t composes one class of each of its orbits, (k + f_t)/2
+    compositions for the k classes composed (half the classes for D < 0),
+    f_t of them fixed, and the bar of each class is read once (one cycle
+    walk for D > 0).  The cost is the class enumeration (once per stratum)
+    plus those compositions; TooLarge is raised before the first
+    composition when k * |T'| exceeds _TABLE_MAX.  No composition table
+    and no FormClass is built.
     """
     _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
     _require_one_mod_4(D)
@@ -242,16 +246,26 @@ def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> li
     if steps > _TABLE_MAX:
         raise TooLarge(f"realizable pairs are enumerated only up to {_TABLE_MAX} compositions, "
                        f"D = {D} with {len(classes)} classes and {len(squares)} squares needs {steps}")
-    pairs = {(t1, t1) for t1 in classes}
-    for t1 in classes:
+    pairs = {(*t1, *t1, False) for t1 in classes}
+    if squares:
+        bar = {t1: _canonical_bar(*t1, D) for t1 in classes}
         for t in squares:
-            t2 = _compose_reduced(t, t1, D)
-            pairs.add((t1, t2) if t1 < t2 else (t2, t1))
-    out = [(t1, t2, _b4_distinguishable(t1, t2, D)) for t1, t2 in pairs]
+            met = set()  # the classes u whose pair {u, t u} is made
+            for t1 in classes:
+                if t1 in met:
+                    continue
+                t2 = _compose_reduced(t, t1, D)
+                u1, u2 = bar[t1], bar[t2]  # a KeyError here is a wrong composite
+                met.add(u2)
+                flag = t1 != t2 and t1 != u2
+                pairs.add((*t1, *t2, flag) if t1 < t2 else (*t2, *t1, flag))
+                pairs.add((*u1, *u2, flag) if u1 < u2 else (*u2, *u1, flag))
+    out = list(pairs)
     if D < 0:  # negation reverses the order of triples
-        out += [((-a2, -b2, -c2), (-a1, -b1, -c1), flag) for (a1, b1, c1), (a2, b2, c2), flag in out]
+        out += [(-a2, -b2, -c2, -a1, -b1, -c1, flag) for a1, b1, c1, a2, b2, c2, flag in out]
     out.sort()
-    return [{"s1": list(t1), "s2": list(t2), "b4_distinguishable": flag} for t1, t2, flag in out]
+    return [{"s1": [a1, b1, c1], "s2": [a2, b2, c2], "b4_distinguishable": flag}
+            for a1, b1, c1, a2, b2, c2, flag in out]
 
 
 def feher_klein_pair(p: int, q: int, k: int, n: int) -> tuple[KleinPair, Form, Form]:

@@ -3,9 +3,10 @@
 Every class s1 is composed with every distinct special square t^2 (the
 identity and both members of each inverse pair included), and the
 partners at an index >= that of s1 are kept.  This is h * |T|
-compositions; the library makes h * |T'|, T' without the identity and
-with one of each inverse pair, and for D < 0 composes the positive
-classes only.  The B^4-distinguishability flag is taken from its
+compositions; the library composes with T' only, T' without the identity
+and with one of each inverse pair, for D < 0 the positive classes only,
+and for each t one class of each pair {s, bar(t s)}, about half of them.
+The B^4-distinguishability flag is taken from its
 definition, s1 not in {s2, bar(s2)}, with bar(s2) reduced from
 (a, -b, c), not read off the closed form of ``forms._canonical_bar``.
 The tests use it as the reference for those reductions.

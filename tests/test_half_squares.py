@@ -51,12 +51,21 @@ def test_pairs_match_all_squares_positive():
     assert (checked, squares) == (499, 21)
 
 
-def test_compositions_are_h_times_half_squares(monkeypatch):
-    D = -5279
-    squares = {special_square(a, c) for a, c in divisor_pairs((1 - D) // 4)}
-    nontrivial = squares - {identity_class(D)}
-    self_inverse = sum(class_bar(t) == t for t in nontrivial)
-    half = (len(nontrivial) + self_inverse) // 2  # one of each inverse pair
+def bar_orbit_compositions(D):
+    """The compositions of the coset step: for each t in T', one per orbit
+    of the involution s -> bar(t s) on the classes composed (the positive
+    ones for D < 0), (k + f_t)/2 for k classes of which f_t are fixed."""
+    classes = [s for s in class_group(D).elements if D > 0 or s.coeffs()[0] > 0]
+    squares = {special_square(a, c) for a, c in divisor_pairs((1 - D) // 4)} - {identity_class(D)}
+    total = 0
+    for t in {min(t, class_bar(t), key=lambda s: s.coeffs()) for t in squares}:
+        fixed = sum(class_bar(class_compose(t, s)) == s for s in classes)
+        assert (len(classes) + fixed) % 2 == 0
+        total += (len(classes) + fixed) // 2
+    return total
+
+
+def coset_calls(monkeypatch, D):
     calls = []
     compose_reduced = qforms.seifert._compose_reduced
 
@@ -66,9 +75,26 @@ def test_compositions_are_h_times_half_squares(monkeypatch):
 
     monkeypatch.setattr(qforms.seifert, "_compose_reduced", counted)
     enumerate_realizable_pairs(D)
+    return len(calls)
+
+
+def test_compositions_are_h_times_half_squares(monkeypatch):
+    D = -5279
+    squares = {special_square(a, c) for a, c in divisor_pairs((1 - D) // 4)}
+    nontrivial = squares - {identity_class(D)}
+    self_inverse = sum(class_bar(t) == t for t in nontrivial)
+    half = (len(nontrivial) + self_inverse) // 2  # one of each inverse pair
+    calls = coset_calls(monkeypatch, D)
     h = class_group(D).order
     assert (h, len(squares), half) == (174, 31, 15)
-    assert len(calls) == h // 2 * half  # the positive classes only
+    # one per bar orbit of the positive classes, about h // 2 * half / 2
+    assert calls == bar_orbit_compositions(D) == 660
+
+
+def test_coset_composes_one_pair_per_bar_orbit_positive(monkeypatch):
+    D = 3000001
+    assert (class_group(D).order, len(_half_special_squares(D))) == (60, 15)
+    assert coset_calls(monkeypatch, D) == bar_orbit_compositions(D) == 465
 
 
 @PROPERTY
