@@ -2,28 +2,41 @@
 
 Composition of classes [q1] * [q2] is defined whenever the contents m1, m2
 are coprime; the result has content m1 * m2.  ``_compose`` is the one
-composition function: it returns an unreduced composite (a3, b3, c3) from
-the coefficients by gcds, with no search.
+composition function, and it is the paper's recipe.  For q_i = (a_i, b_i,
+c_i) of discriminant D, the plane of the Klein pair (A(q1), -A(S.q2)) has
+the Plucker coordinates
 
-* Primitive forms compose by the gcd formula of Cohen (A Course in
-  Computational Algebraic Number Theory, Algorithm 5.4.7), with signed
-  leading coefficients, so definite classes of either sign, indefinite
-  and square discriminants all take the same path: with s = (b1 + b2)/2,
-  d = gcd(a1, a2) and d1 = gcd(s, d), the composite has a3 = a1 a2 / d1^2
-  and b3 = b2 (mod 2 a2 / d1).  A zero leading coefficient (square D) is
-  moved off first.
-* Non-primitive forms f_i = m_i g_i: g_i has discriminant m_j^2 D0 with
-  D0 = D / (m1 m2)^2.  It is moved to a leading coefficient coprime to
-  m_j, translated so that m_j | b and m_j^2 | c (for even m_j the
-  parity of b / m_j is then matched to D0), and divided down to
-  discriminant D0.  The two projections compose as primitive forms and
-  the composite is multiplied by m1 m2.
+    (P01, P02, P03, P12, P13, P23) = ((b1 + b2)/2, a2, -a1, -c1, c2, (b2 - b1)/2),
 
-``dirichlet_compose`` returns that composite as a form; ``class_compose``
-reduces it in the regime D names and builds its class once.
-``concordant_pair`` still gives Dirichlet's concordant representatives
-(Cox, Primes of the form x^2 + ny^2, Lemma 2.25, in closed form), but no
-composition goes through it.
+which are primitive exactly when m1 and m2 are coprime.  An oriented basis
+(h1, h2) of that plane is the first slicing pair of a cube whose second
+and third slicing forms are q2 and q1 (``cube.cube_from_forms``), so by the
+cube law (Bhargava, Higher composition laws I, 2004) the bar of its first
+slicing form, -q_L = -(det h1, tr(h1 bar h2), det h2), lies in [q1] * [q2].
+That holds for both signs of D, for square D and for non-primitive forms,
+so no input needs a step of its own.  With d = gcd((b1 + b2)/2, a1, a2),
+the last coefficient of -q_L is a1 a2 / d^2.  The composite is S-swapped
+to put it first, b is translated into (-a, a], or [a, -a) for a < 0 (the
+window definite reduction moves it to), and c is read off D.  When
+a1 a2 = 0 (square D), -q_L is S-swapped only.
+
+``_plane_basis`` reads (h1, h2) off P in closed form, with one Bezout
+vector and at most two modular inverses; it is the kernel that
+``lattice._hermite``, and through it ``cube.cube_from_forms``, share with
+composition.  Row s of the antisymmetric matrix of P is x_s y - y_s x, a
+vector of the plane.  In the Hermite basis (h1, h2) oriented like P, with
+h1's pivot in column j (the first row of P that is not zero), row j is
+h1_j h2: with d the gcd of its entries, h2 = u = row j / d, sign included,
+and h1_j = d.  Row s carries h1 with coefficient -u_s, so for any Bezout
+vector l of u (sum l_s u_s = 1) h1_k = -sum_{s>j} l_s P_sk for k > j, up to
+a multiple of h2.  Each pivot column is its own straight-line case, and no
+row is built.  ``_plane_basis`` leaves h1 unreduced, as q_L is the same
+form up to a translation for every such h1; ``lattice._hermite`` reduces
+it at h2's pivot.  ``dirichlet_compose`` returns the composite as a form;
+``class_compose`` reduces it in the regime D names and builds its class
+once.  ``concordant_pair`` still gives Dirichlet's concordant
+representatives (Cox, Primes of the form x^2 + ny^2, Lemma 2.25, in closed
+form), but no composition goes through it.
 
 Class groups are enumerated per discriminant regime by ``_class_triples``,
 with one contract for all of them: it returns the sorted canonical
@@ -142,8 +155,10 @@ def concordant_pair(f1: Form, f2: Form) -> tuple[Form, Form]:
 
     The returned forms share their middle coefficient and have coprime
     nonzero leading coefficients; each leading coefficient divides the
-    other form's last coefficient.  Composition does not need them (see
-    ``_compose``); they are the textbook witnesses of Dirichlet's formula.
+    other form's last coefficient.  Composition does not need them: it
+    reads the composite off the recipe's cube (``_compose``), which gives
+    a1 a2 / d^2 as the leading coefficient for any two forms.  They are
+    the textbook witnesses of Dirichlet's formula.
     """
     D = discriminant(f1)
     if D == 0 or discriminant(f2) == 0:
@@ -173,70 +188,84 @@ def concordant_pair(f1: Form, f2: Form) -> tuple[Form, Form]:
     return h1, h2
 
 
-def _project(a: int, b: int, c: int, m: int, D: int) -> tuple[int, int, int]:
-    """The image of the primitive form (a, b, c) of discriminant m^2 D in
-    the forms of discriminant D (m >= 1).
-
-    The form is moved to a leading coefficient coprime to m, translated by
-    x -> x + k y so that m | b and m^2 | c, and divided: (a, b/m, c/m^2).
-    """
-    if m == 1:
-        return a, b, c
-    a, b, c = _with_leading(a, b, c, m)
-    if m % 2:
-        k = -b * pow(2 * a, -1, m) % m
-    else:  # b is even; k is fixed mod m/2, and k + m/2 flips the parity of b/m
-        h = m // 2
-        k = -(b // 2) * pow(a, -1, h) % h
-        if ((b + 2 * a * k) // m - D) % 2:
-            k += h
-    return a, (b + 2 * a * k) // m, (a * k * k + b * k + c) // (m * m)
+def _plane_basis(p01: int, p02: int, p03: int, p12: int, p13: int,
+                 p23: int) -> tuple[int, int, int, int, int, int, int]:
+    """The coordinates (x0, x1, x2, x3) of h1 and (y1, y2, y3) of h2 = (0,
+    y1, y2, y3) for an oriented basis (h1, h2) of the plane of P: h2 is the
+    second Hermite basis vector, h1 the first up to a multiple of h2 (see
+    the module docstring).  P must not be zero; the vectors span its plane
+    when P is primitive and satisfies the Plucker relation."""
+    if p01 or p02 or p03:
+        # pivot column 0: h2 = (0, u1, u2, u3) = row 0 over d, h1_0 = d, and
+        # h1_k = -sum_s l_s P_sk for a Bezout vector l of u
+        g = gcd(p01, p02)
+        if g == 1 and p02:  # d = 1 and l = (l1, l2, 0), the common case
+            l1 = pow(p01, -1, abs(p02))
+            l2 = (1 - l1 * p01) // p02
+            return 1, l2 * p12, -l1 * p12, -l1 * p13 - l2 * p23, p01, p02, p03
+        d = gcd(g, p03)
+        u1, u2, u3, g = p01 // d, p02 // d, p03 // d, g // d
+        # l1 u1 + l2 u2 = g = gcd(u1, u2); then s g + l3 u3 = 1 makes
+        # (s l1, s l2, l3) a Bezout vector of u
+        if u2:
+            l1 = pow(u1 // g, -1, abs(u2 // g))  # 0 when u2 | u1
+            l2 = (g - l1 * u1) // u2
+        else:
+            l1, l2 = u1 // g if g else 0, 0
+        l3 = 0
+        if g != 1:
+            s = pow(g, -1, abs(u3))  # u3 != 0, as gcd(g, u3) = 1
+            l1, l2, l3 = s * l1, s * l2, (1 - s * g) // u3
+        return d, l2 * p12 + l3 * p13, l3 * p23 - l1 * p12, -l1 * p13 - l2 * p23, u1, u2, u3
+    if p12 or p13:
+        # pivot column 1: h2 = (0, 0, u2, u3), h1 = (0, d, l3 P23, -l2 P23)
+        d = gcd(p12, p13)
+        u2, u3 = p12 // d, p13 // d
+        if u3:
+            l2 = pow(u2, -1, abs(u3))
+            l3 = (1 - l2 * u2) // u3
+        else:
+            l2, l3 = u2, 0
+        return 0, d, l3 * p23, -l2 * p23, 0, u2, u3
+    # pivot column 2: the plane of the last two coordinates
+    d = abs(p23)
+    return 0, 0, d, 0, 0, 0, p23 // d
 
 
 def _compose(a1: int, b1: int, c1: int, a2: int, b2: int, c2: int, D: int) -> tuple[int, int, int]:
     """The unreduced composite of (a1, b1, c1) and (a2, b2, c2), both of
     discriminant D, with coprime contents m1, m2 (else NotCoprimeContent).
 
-    Primitive forms compose by Cohen, Algorithm 5.4.7, with signed leading
-    coefficients.  Otherwise the primitive parts f_i / m_i are projected to
-    discriminant D / (m1 m2)^2 (``_project`` by the other content), composed
-    there and multiplied by m1 m2.  A zero leading coefficient (square D)
-    is moved off first.
+    The paper's recipe: the bar of the first slicing form of the cube of
+    the two forms, S-swapped so that a1 a2 / d^2 leads, with b translated
+    into (-a, a], or [a, -a) for a < 0, and c read off D (see the module
+    docstring).
     """
-    m1, m2 = gcd(a1, b1, c1), gcd(a2, b2, c2)
-    m = m1 * m2
-    if m != 1:
-        if gcd(m1, m2) != 1:
-            raise NotCoprimeContent(f"contents {m1}, {m2} are not coprime")
-        D //= m * m
-        a1, b1, c1 = _project(a1 // m1, b1 // m1, c1 // m1, m2, D)
-        a2, b2, c2 = _project(a2 // m2, b2 // m2, c2 // m2, m1, D)
-    if a1 == 0:
-        a1, b1, c1 = _with_leading(a1, b1, c1, 1)
-    if a2 == 0:
-        a2, b2, c2 = _with_leading(a2, b2, c2, 1)
-    s = (b1 + b2) // 2
-    n = b2 - s
-    d = gcd(a1, a2)
-    y1 = pow(a2 // d, -1, abs(a1 // d))  # a2 y1 = d mod a1
-    d1 = gcd(s, d)
-    if d1 == d:
-        x2, y2 = 0, -1
-    else:  # x2 s - y2 d = d1
-        x2 = pow(s // d1, -1, d // d1)
-        y2 = (x2 * s - d1) // d
-    v1, v2 = a1 // d1, a2 // d1
-    r = (y1 * y2 * n - x2 * c2) % v1
-    a3 = v1 * v2
-    b3 = b2 + 2 * v2 * r
-    c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
-    if b3 * b3 - 4 * a3 * c3 != D:  # a wrong triple would not fail, it could hang the reduction
-        raise AssertionError(f"composite ({a3}, {b3}, {c3}) does not have discriminant {D}")
-    return m * a3, m * b3, m * c3
+    s, n = (b1 + b2) // 2, (b2 - b1) // 2
+    x0, x1, x2, x3, y1, y2, y3 = _plane_basis(s, a2, -a1, -c1, c2, n)
+    # x0 = gcd(s, a1, a2), or 0 when all three vanish, so gcd(x0, c1, c2, n)
+    # is the gcd of P, which is 1 iff the contents are coprime
+    if x0 != 1 and gcd(x0, c1, c2, n) != 1:
+        raise NotCoprimeContent(f"contents {gcd(a1, b1, c1)}, {gcd(a2, b2, c2)} are not coprime")
+    # -q_L = (-(x0 x1 + x2 x3), -b, -y2 y3) with b = x0 y1 + x2 y3 + x3 y2,
+    # and x0 y1 = s
+    a, b = -y2 * y3, s + x2 * y3 + x3 * y2
+    if a:
+        b = a - (a - b) % (2 * a)
+        c, r = divmod(b * b - D, 4 * a)
+    else:  # a1 a2 = 0, so D = b^2 is a square
+        c, r = -(x0 * x1 + x2 * x3), b * b - D
+    if r:  # a wrong triple would not fail, it could hang the reduction
+        raise AssertionError(f"composite ({a}, {b}) does not have discriminant {D}")
+    return a, b, c
 
 
 def dirichlet_compose(f1: Form, f2: Form) -> Form:
-    """A form in the class [f1] * [f2] (contents must be coprime)."""
+    """A form in the class [f1] * [f2] (contents must be coprime): the
+    paper's recipe, the bar of the first slicing form of the cube of f1 and
+    f2, S-swapped and translated as ``_compose`` returns it.  Only its
+    class and content are fixed; the representative is the one the recipe
+    gives."""
     D = discriminant(f1)
     D2 = discriminant(f2)
     if D == 0 or D2 == 0:
@@ -612,17 +641,17 @@ _CLASS_GROUP_SCAN_MAX = 2 * 10**7
 # half of what they are weighed at, and a table of D < 0 composes only
 # its k = h/2 positive classes, about half of k(k+1)/2, but is still
 # weighed as h(h+1)/2, so the same D are refused.  One composition with
-# its reduction takes 2.5-4 us for D < 0 (tables of h = 78 to 210),
-# 3.1 us for D = N^2 (h = 630 at 631^2: 99,541 compositions, 0.31 s) and
-# 9-10 us for D = 100000001 (h = 720), so about 1 s at the bound (2-vCPU
-# x86 host, Python 3.11)
+# its reduction takes 2.5-2.7 us for D < 0 (tables of h = 54 to 174),
+# 2.7 us for D = N^2 (h = 630 at 631^2: 99,541 compositions, 0.26 s) and
+# 6.6 us for D = 100000001 (h = 720, random pairs), so about 1 s at the
+# bound (2-vCPU x86 host, Python 3.11)
 _TABLE_MAX = 2 * 10**5
 
 # s_plus_subgroup refuses a closure that would take more compositions
 # than this, |S+| times the number of generators.  It runs after
 # divisor_pairs, which takes up to about 0.2 s at its own bound, so it
 # gets half the table's budget.  At D = 1 - 4 * 10^13 (97 generators) it
-# raises after 94,187 compositions and 1,257 classes, 0.6 s of a 0.8 s
+# raises after 94,187 compositions and 1,257 classes, 0.4 s of a 0.55 s
 # call; without a bound that call ran past 40 s (2-vCPU x86 host,
 # Python 3.11)
 _S_PLUS_MAX = 10**5

@@ -19,7 +19,9 @@ verified symbolically; with it, [q1]*[q2]*[q3] = 1 whenever defined.
 ``cube_from_forms(q1, q2)`` slices the plane of the pair (A(q1), -A(S.q2)),
 whose Plucker coordinates (P01, P02, P03, P12, P13, P23) are, for
 q_i = (a_i, b_i, c_i), ((b1 + b2)/2, a2, -a1, -c1, c2, (b2 - b1)/2); the
-entries are the ``lattice._hermite`` coordinates of that plane.
+entries are the ``lattice._hermite`` coordinates of that plane, from the
+Bezout kernel ``compose._plane_basis`` that ``compose._compose`` reads the
+composite of q1 and q2 off.
 ``cube_law_check`` reduces and composes the slicings as integer triples,
 checking one law when all three are primitive.
 """

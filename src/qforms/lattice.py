@@ -41,17 +41,10 @@ and negates P03 and P12, so L^perp = L_{-a1,a2} has P = (P23, P02, -P03,
 L^pperp = (P23, -P02, -P03, -P12, -P13, P01).
 
 ``_hermite`` turns a primitive decomposable P into the coordinates of
-the canonical basis of its plane in closed form.  Row s of the
-antisymmetric matrix of P is x_s y - y_s x, a vector of the plane.  In
-the Hermite basis (h1, h2) oriented like P, with h1's pivot in column j
-(the first row of P that is not zero), row j is h1_j h2: with d the gcd
-of its entries, h2 = u = row j / d, sign included, and h1_j = d.  Row
-s carries h1 with coefficient -u_s, so for any Bezout vector l of u
-(sum l_s u_s = 1, at most two modular inverses) h1_k = -sum_{s>j} l_s P_sk
-for k > j, up to a multiple of h2, which the reduction of h1 at h2's
-pivot fixes.  Each pivot column is its own straight-line case, and no
-row is built.  ``Plane.from_basis`` reuses the Plucker coordinates of
-its summand check, and ``Plane.contains`` tests x ^ P = 0.
+the canonical basis of its plane: ``compose._plane_basis``, the Bezout
+kernel that composition shares, gives h2 and h1 up to a multiple of h2,
+and h1 is reduced at h2's pivot.  ``Plane.from_basis`` reuses the Plucker
+coordinates of its summand check, and ``Plane.contains`` tests x ^ P = 0.
 ``verify_composition_identity`` reads q_L off the coordinates of
 ``_hermite`` and reduces both sides with ``forms._canonical``, composing
 Gauss-reduced factors for D < 0; it builds objects only for the values it
@@ -63,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .compose import _compose
+from .compose import _compose, _plane_basis
 from .errors import (MismatchedDeterminant, NotASummand, NotGross, NotPairPrimitive, NotSymplectic,
                      ZeroDeterminant, ZeroDiscriminant)
 from .forms import Form, FormClass, Mat2, _canonical, _require_sl2
@@ -119,43 +112,10 @@ def _plucker(v1: Mat2, v2: Mat2) -> tuple[int, int, int, int, int, int]:
 def _hermite(p01: int, p02: int, p03: int, p12: int, p13: int, p23: int) -> tuple[tuple[int, ...], ...]:
     """The coordinates (h1, h2) of the canonical basis of the plane of P,
     which must be primitive and satisfy the Plucker relation."""
-    if p01 or p02 or p03:
-        # pivot column 0: h2 = (0, u1, u2, u3) = row 0 over d, h1_0 = d, and
-        # h1_k = -sum_s l_s P_sk for a Bezout vector l of u
-        d = gcd(p01, p02, p03)
-        u1, u2, u3 = p01 // d, p02 // d, p03 // d
-        # l1 u1 + l2 u2 = g = gcd(u1, u2); then s g + l3 u3 = 1 makes
-        # (s l1, s l2, l3) a Bezout vector of u
-        g = gcd(u1, u2)
-        if u2:
-            l1 = pow(u1 // g, -1, abs(u2 // g))  # 0 when u2 | u1
-            l2 = (g - l1 * u1) // u2
-        else:
-            l1, l2 = u1 // g if g else 0, 0
-        l3 = 0
-        if g != 1:
-            s = pow(g, -1, abs(u3))  # u3 != 0, as gcd(g, u3) = 1
-            l1, l2, l3 = s * l1, s * l2, (1 - s * g) // u3
-        x1, x2, x3 = l2 * p12 + l3 * p13, l3 * p23 - l1 * p12, -l1 * p13 - l2 * p23
-        top, m = (x1, u1) if u1 else (x2, u2) if u2 else (x3, u3)
-        q = (top - top % abs(m)) // m  # h1 reduced into [0, |m|) at h2's pivot
-        return (d, x1 - q * u1, x2 - q * u2, x3 - q * u3), (0, u1, u2, u3)
-    if p12 or p13:
-        # pivot column 1: h2 = (0, 0, u2, u3), h1 = (0, d, l3 P23, -l2 P23)
-        d = gcd(p12, p13)
-        u2, u3 = p12 // d, p13 // d
-        if u3:
-            l2 = pow(u2, -1, abs(u3))
-            l3 = (1 - l2 * u2) // u3
-        else:
-            l2, l3 = u2, 0
-        x2, x3 = l3 * p23, -l2 * p23
-        top, m = (x2, u2) if u2 else (x3, u3)
-        q = (top - top % abs(m)) // m
-        return (0, d, x2 - q * u2, x3 - q * u3), (0, 0, u2, u3)
-    # pivot column 2: the plane of the last two coordinates
-    d = abs(p23)
-    return (0, 0, d, 0), (0, 0, 0, p23 // d)
+    x0, x1, x2, x3, y1, y2, y3 = _plane_basis(p01, p02, p03, p12, p13, p23)
+    top, m = (x1, y1) if y1 else (x2, y2) if y2 else (x3, y3)
+    q = (top - top % abs(m)) // m  # h1 reduced into [0, |m|) at h2's pivot
+    return (x0, x1 - q * y1, x2 - q * y2, x3 - q * y3), (0, y1, y2, y3)
 
 
 def _plane_from_plucker(p01: int, p02: int, p03: int, p12: int, p13: int, p23: int) -> "Plane":
