@@ -14,11 +14,13 @@ and third slicing forms are q2 and q1 (``cube.cube_from_forms``), so by the
 cube law (Bhargava, Higher composition laws I, 2004) the bar of its first
 slicing form, -q_L = -(det h1, tr(h1 bar h2), det h2), lies in [q1] * [q2].
 That holds for both signs of D, for square D and for non-primitive forms,
-so no input needs a step of its own.  With d = gcd((b1 + b2)/2, a1, a2),
-the last coefficient of -q_L is a1 a2 / d^2.  The composite is S-swapped
-to put it first, b is translated into (-a, a], or [a, -a) for a < 0 (the
-window definite reduction moves it to), and c is read off D.  When
-a1 a2 = 0 (square D), -q_L is S-swapped only.
+so no input needs a step of its own.  The composite is -q_L S-swapped,
+so that its last coefficient a = -det h2 leads: a1 a2 / d^2 with
+d = gcd((b1 + b2)/2, a1, a2) when d is not zero, else
+c1 c2 / gcd(c1, c2)^2, or 0 when c1 = c2 = 0 too.  When a is not zero,
+b is translated into (-a, a], or [a, -a) for a < 0 (the window definite
+reduction moves it to), and c is read off D; only a = 0, which needs a
+square D, leaves -q_L just S-swapped.
 
 ``_plane_basis`` reads (h1, h2) off P in closed form, with one Bezout
 vector and at most two modular inverses; it is the kernel that
@@ -199,10 +201,6 @@ def _plane_basis(p01: int, p02: int, p03: int, p12: int, p13: int,
         # pivot column 0: h2 = (0, u1, u2, u3) = row 0 over d, h1_0 = d, and
         # h1_k = -sum_s l_s P_sk for a Bezout vector l of u
         g = gcd(p01, p02)
-        if g == 1 and p02:  # d = 1 and l = (l1, l2, 0), the common case
-            l1 = pow(p01, -1, abs(p02))
-            l2 = (1 - l1 * p01) // p02
-            return 1, l2 * p12, -l1 * p12, -l1 * p13 - l2 * p23, p01, p02, p03
         d = gcd(g, p03)
         u1, u2, u3, g = p01 // d, p02 // d, p03 // d, g // d
         # l1 u1 + l2 u2 = g = gcd(u1, u2); then s g + l3 u3 = 1 makes
@@ -237,9 +235,9 @@ def _compose(a1: int, b1: int, c1: int, a2: int, b2: int, c2: int, D: int) -> tu
     discriminant D, with coprime contents m1, m2 (else NotCoprimeContent).
 
     The paper's recipe: the bar of the first slicing form of the cube of
-    the two forms, S-swapped so that a1 a2 / d^2 leads, with b translated
-    into (-a, a], or [a, -a) for a < 0, and c read off D (see the module
-    docstring).
+    the two forms, S-swapped so that a = -det h2 leads, with b translated
+    into (-a, a], or [a, -a) for a < 0, and c read off D when a is not
+    zero (see the module docstring).
     """
     s, n = (b1 + b2) // 2, (b2 - b1) // 2
     x0, x1, x2, x3, y1, y2, y3 = _plane_basis(s, a2, -a1, -c1, c2, n)
@@ -253,7 +251,7 @@ def _compose(a1: int, b1: int, c1: int, a2: int, b2: int, c2: int, D: int) -> tu
     if a:
         b = a - (a - b) % (2 * a)
         c, r = divmod(b * b - D, 4 * a)
-    else:  # a1 a2 = 0, so D = b^2 is a square
+    else:  # D = b^2 is a square
         c, r = -(x0 * x1 + x2 * x3), b * b - D
     if r:  # a wrong triple would not fail, it could hang the reduction
         raise AssertionError(f"composite ({a}, {b}) does not have discriminant {D}")
@@ -641,9 +639,9 @@ _CLASS_GROUP_SCAN_MAX = 2 * 10**7
 # half of what they are weighed at, and a table of D < 0 composes only
 # its k = h/2 positive classes, about half of k(k+1)/2, but is still
 # weighed as h(h+1)/2, so the same D are refused.  One composition with
-# its reduction takes 2.5-2.7 us for D < 0 (tables of h = 54 to 174),
-# 2.7 us for D = N^2 (h = 630 at 631^2: 99,541 compositions, 0.26 s) and
-# 6.6 us for D = 100000001 (h = 720, random pairs), so about 1 s at the
+# its reduction takes 2.6-2.9 us for D < 0 (tables of h = 54 to 174),
+# 2.5 us for D = N^2 (h = 630 at 631^2: 99,541 compositions, 0.25 s) and
+# 6.4 us for D = 100000001 (h = 720, random pairs), so about 1 s at the
 # bound (2-vCPU x86 host, Python 3.11)
 _TABLE_MAX = 2 * 10**5
 

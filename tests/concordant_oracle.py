@@ -3,9 +3,8 @@
 ``compose.concordant_pair`` gives representatives (a1, b, c1), (a2, b, c2)
 of [f1], [f2] with gcd(a1, a2) = 1, whose composite is Dirichlet's
 (a1 a2, b, (b^2 - D) / (4 a1 a2)).  The library now reads the composite
-off the paper's cube (``compose._compose``), and ``cohen_oracle`` keeps
-Cohen's Algorithm 5.4.7; the tests keep this construction as a second
-class-for-class reference.
+off the paper's cube (``compose._compose``); this construction shares no
+step with it, so the tests keep it as the class-for-class reference.
 """
 
 from qforms.compose import concordant_pair

@@ -19,14 +19,14 @@ The last part is the object path that ``lattice`` and ``cube`` took
 before they read q_L, the composition identity, the cube of two forms
 and the cube law off integer coordinates: Mat2 products for q_L and the
 slicing pairs, ``FormClass.of`` and ``class_compose`` for the classes.
-The composition identity composes by Cohen's algorithm
-(``cohen_oracle.compose``), since the library composes through the same
+The composition identity composes through a concordant pair
+(``concordant_oracle``), since the library composes through the same
 plane whose q_L it compares with.
 """
 
 from math import gcd
 
-import cohen_oracle
+from concordant_oracle import compose_by_concordant_pair
 from hnf_oracle import kernel_basis, row_hnf_xgcd
 from qforms import lattice
 from qforms.compose import class_compose
@@ -200,11 +200,11 @@ def q_of_plane(plane):
 
 
 def verify_composition_identity(p):
-    """[q_L] of the plane of p, and bar[q_a1] * [q_a2] by Cohen's algorithm."""
+    """[q_L] of the plane of p, and bar[q_a1] * [q_a2] through a concordant pair."""
     ql = q_of_plane(lattice.klein_inverse(p))  # validates the pair first
     via_plane = FormClass.of(ql)
     q1, q2 = form_of(p.a1), form_of(p.a2)
-    via_compose = FormClass.of(Form(*cohen_oracle.compose(*bar(q1).coeffs(), *q2.coeffs(), discriminant(q2))))
+    via_compose = FormClass.of(compose_by_concordant_pair(bar(q1), q2))
     ok = via_plane == via_compose and content(ql) == content(q1) * content(q2)
     return via_plane, via_compose, ok
 

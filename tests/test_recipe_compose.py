@@ -1,25 +1,23 @@
-"""The paper's cube recipe (``compose._compose``) against Cohen's Algorithm
-5.4.7 (``cohen_oracle.compose``): the same class and the same content, at
-coefficients up to about 10^40, in every regime, for coprime contents up to
-30, for zero leading coefficients, and for the pairs (0, N, c1), (0, -N, c2)
-whose first Plucker row (b1 + b2)/2, a2, -a1 is zero."""
+"""The paper's cube recipe (``compose._compose``) against composition
+through a concordant pair (``concordant_oracle``): the same class and the
+same content, at coefficients up to about 10^40, in every regime, for
+coprime contents up to 30, for zero leading coefficients, and for the pairs
+(0, N, c1), (0, -N, c2) whose first Plucker row (b1 + b2)/2, a2, -a1 is
+zero.  ``tests/test_compose_direct.py`` compares the two on its own inputs;
+these add the largest coefficients, the zero first row and the refusal of
+contents that share a prime."""
 
 from math import gcd, isqrt
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-import cohen_oracle
+from concordant_oracle import compose_by_concordant_pair
 from conftest import large_sl2_matrices, outcome, primitive_form
+from test_compose_direct import coprime_contents
 from qforms import compose
 from qforms.forms import Form, act, content, discriminant, is_equivalent
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
-
-
-@st.composite
-def coprime_contents(draw):
-    m1 = draw(st.integers(1, 30))
-    return m1, draw(st.sampled_from([m for m in range(1, 31) if gcd(m, m1) == 1]))
 
 
 @st.composite
@@ -61,7 +59,7 @@ def pairs(draw):
     return f1, f2
 
 
-class TestRecipeAgainstCohen:
+class TestRecipeAgainstConcordantPair:
     @PROPERTY
     @given(fs=pairs())
     @example(fs=(Form(0, 1, 0), Form(0, -1, 0)))  # P = (0, 0, 0, 0, 0, -1): the last pivot
@@ -71,10 +69,10 @@ class TestRecipeAgainstCohen:
         f1, f2 = fs
         D = discriminant(f1)
         got = compose._compose(*f1.coeffs(), *f2.coeffs(), D)
-        want = cohen_oracle.compose(*f1.coeffs(), *f2.coeffs(), D)
+        want = compose_by_concordant_pair(f1, f2)
         assert got[1] ** 2 - 4 * got[0] * got[2] == D
-        assert gcd(*got) == gcd(*want) == content(f1) * content(f2)
-        assert is_equivalent(Form(*got), Form(*want)), (f1, f2, got, want)
+        assert gcd(*got) == content(want) == content(f1) * content(f2)
+        assert is_equivalent(Form(*got), want), (f1, f2, got, want)
 
     @settings(PROPERTY, max_examples=100)
     @given(fs=pairs(), k=st.sampled_from((2, 3, 5)))
@@ -83,7 +81,7 @@ class TestRecipeAgainstCohen:
         f1, f2 = (Form(k * f.a, k * f.b, k * f.c) for f in fs)
         D = discriminant(f1)
         got = outcome(compose._compose, *f1.coeffs(), *f2.coeffs(), D)
-        assert got == outcome(cohen_oracle.compose, *f1.coeffs(), *f2.coeffs(), D) == ("err", "not-coprime-content")
+        assert got == outcome(compose_by_concordant_pair, f1, f2) == ("err", "not-coprime-content")
 
     def test_strategy_reaches_every_case(self):
         # every regime, non-primitive pairs, zero leading coefficients and
