@@ -98,7 +98,6 @@ from .errors import (
     NotCoprimeResidue,
     NotOddPositive,
     NotOneMod4,
-    NotPrimitive,
     TooLarge,
     ZeroDiscriminant,
 )
@@ -289,23 +288,6 @@ def class_compose(s1: FormClass, s2: FormClass) -> FormClass:
 def class_bar(s: FormClass) -> FormClass:
     """[q] -> [bar(q)], defined for every class; closed form for D < 0."""
     return FormClass(Form(*_canonical_bar(*s.coeffs(), s.disc)), s.disc)
-
-
-def class_power(s: FormClass, n: int) -> FormClass:
-    """s**n for primitive s; n < 0 through the inverse [bar(q)]."""
-    if n < 0:
-        if s.content != 1:
-            raise NotPrimitive("inversion is defined for primitive classes only")
-        return class_power(class_bar(s), -n)
-    result = identity_class(s.disc)
-    base = s
-    while n:
-        if n & 1:
-            result = class_compose(result, base)
-        n >>= 1
-        if n:
-            base = class_compose(base, base)
-    return result
 
 
 def identity_class(D: int) -> FormClass:

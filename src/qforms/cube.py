@@ -51,13 +51,6 @@ class Cube:
             raise OutOfRange(f"a cube holds a tuple of eight ints, not {entries!r}")
         self.__dict__["entries"] = entries
 
-    def to_dict(self) -> dict:
-        return {"entries": list(self.entries)}
-
-    @staticmethod
-    def from_dict(doc: dict) -> "Cube":
-        return Cube(tuple(doc["entries"]))
-
 
 def _slicing_triples(e: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
     # the coefficients of the three slicing forms of the entries e; for each

@@ -117,9 +117,6 @@ class Mat2:
     def __neg__(self) -> "Mat2":
         return Mat2(-self.m11, -self.m12, -self.m21, -self.m22)
 
-    def scale(self, k: int) -> "Mat2":
-        return Mat2(k * self.m11, k * self.m12, k * self.m21, k * self.m22)
-
     def bar(self) -> "Mat2":
         """The adjugate; x @ x.bar() = det(x) I, so the inverse in SL2(Z)."""
         return Mat2(self.m22, -self.m12, -self.m21, self.m11)
@@ -138,17 +135,8 @@ class Mat2:
     def from_coords(x1: int, x2: int, x3: int, x4: int) -> "Mat2":
         return Mat2(x1, x4, -x3, x2)
 
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1, 0, 0, 1)
-
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.m11, self.m12), (self.m21, self.m22))
-
-    @staticmethod
-    def from_rows(rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2(a, b, c, d)
 
 
 def _require_sl2(g: Mat2) -> None:
@@ -166,27 +154,17 @@ def content(f: Form) -> int:
     return gcd(gcd(abs(f.a), abs(f.b)), abs(f.c))
 
 
-def is_primitive(f: Form) -> bool:
-    return content(f) == 1
-
-
-def substitute(f: Form, m11: int, m12: int, m21: int, m22: int) -> Form:
-    """f((x, y) -> (m11*x + m12*y, m21*x + m22*y)) for any integer matrix."""
-    a = f(m11, m21)
-    c = f(m12, m22)
-    b = 2 * f.a * m11 * m12 + f.b * (m11 * m22 + m12 * m21) + 2 * f.c * m21 * m22
-    return Form(a, b, c)
-
-
 def act(g: Mat2, f: Form) -> Form:
     """Left SL2(Z) action fixed by gross(act(g, f)) = g gross(f) g^-1.
 
-    Concretely this is substitution by j g^T j with j = diag(1, -1); it
+    Concretely, for g = ((p, q), (r, s)) this is the substitution by
+    j g^T j with j = diag(1, -1), (x, y) -> (p x - r y, -q x + s y); it
     preserves discriminant and content, and act(g @ h, f) == act(g, act(h, f)).
     Raises NotUnimodular unless det(g) == 1.
     """
     _require_sl2(g)
-    return substitute(f, g.m11, -g.m21, -g.m12, g.m22)
+    p, q, r, s = g.m11, g.m12, g.m21, g.m22
+    return Form(f(p, -q), f.b * (p * s + q * r) - 2 * (f.a * p * r + f.c * q * s), f(-r, s))
 
 
 def bar(f: Form) -> Form:
@@ -413,7 +391,7 @@ def square_residue(f: Form) -> tuple[int, int]:
     N = isqrt(D) if D > 0 else 0
     if D <= 0 or N * N != D:
         raise NotSquareDiscriminant(f"disc {D} is not a positive square")
-    if not is_primitive(f):
+    if content(f) != 1:
         raise NotPrimitive("square normal form requires a primitive form")
     return N, _square_residue(f.a, f.b, f.c, N)
 

@@ -62,16 +62,6 @@ from .errors import (MismatchedDeterminant, NotASummand, NotGross, NotPairPrimit
 from .forms import Form, FormClass, Mat2, _canonical, _require_sl2
 
 
-def quad_q(x: Mat2, y: Mat2) -> int:
-    """The symmetric bilinear form Q(x, y) = tr(x bar(y))."""
-    return x.m11 * y.m22 - x.m12 * y.m21 - x.m21 * y.m12 + x.m22 * y.m11
-
-
-def sympl_theta(x: Mat2, y: Mat2) -> int:
-    """The symplectic form theta(x, y) = tr(x j bar(y)), j = diag(1, -1)."""
-    return x.m11 * y.m22 + x.m12 * y.m21 - x.m21 * y.m12 - x.m22 * y.m11
-
-
 # ---------------------------------------------------------------------------
 # Gross vectors <-> forms
 
@@ -155,9 +145,6 @@ class Plane:
         if g != 1:
             raise NotASummand("basis does not span a direct summand of Z^4")
         return _plane_from_plucker(*plucker)
-
-    def basis(self) -> tuple[Mat2, Mat2]:
-        return (self.v1, self.v2)
 
     def opposite(self) -> "Plane":
         """The same plane with reversed orientation: the plane of -P."""
@@ -251,16 +238,6 @@ def is_symplectic(plane: Plane) -> bool:
     return p01 + p23 == 1
 
 
-def symplectic_basis(plane: Plane) -> tuple[Mat2, Mat2]:
-    """An oriented basis with theta(v1, v2) = 1 (the stored one works)."""
-    if not is_symplectic(plane):
-        raise NotSymplectic("plane admits no symplectic basis")
-    v1, v2 = plane.basis()
-    if sympl_theta(v1, v2) != 1:
-        raise AssertionError(f"stored basis of {plane} is not symplectic")
-    return (v1, v2)
-
-
 def symplectic_complement(plane: Plane) -> Plane:
     """L^pperp via Phi(L^pperp) = (-a1, [[1, -alpha], [-gamma, -1]])."""
     p01, p02, p03, p12, p13, p23 = _nondegenerate_plucker(plane)
@@ -301,14 +278,5 @@ def plane_to_dict(plane: Plane) -> dict:
     return {"basis": [list(plane.v1.coords()), list(plane.v2.coords())]}
 
 
-def plane_from_dict(doc: dict) -> Plane:
-    b1, b2 = doc["basis"]
-    return Plane.from_basis(Mat2.from_coords(*b1), Mat2.from_coords(*b2))
-
-
 def pair_to_dict(p: KleinPair) -> dict:
     return {"a1": [list(r) for r in p.a1.rows()], "a2": [list(r) for r in p.a2.rows()]}
-
-
-def pair_from_dict(doc: dict) -> KleinPair:
-    return KleinPair(Mat2.from_rows(doc["a1"]), Mat2.from_rows(doc["a2"]))

@@ -11,7 +11,7 @@ reference for the one-walk-per-cycle enumeration.
 from math import isqrt
 
 from qforms.compose import OrientedClassGroup, identity_class
-from qforms.forms import Form, FormClass, is_primitive
+from qforms.forms import Form, FormClass, content
 
 
 def reduced_forms(D):
@@ -30,7 +30,7 @@ def reduced_forms(D):
                 continue
             for a in (aa, -aa):
                 f = Form(a, b, prod // a)
-                if is_primitive(f):
+                if content(f) == 1:
                     out.append(f)
     return out
 

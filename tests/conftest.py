@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import assume, strategies as st
 
-from qforms.errors import DomainError
+from qforms.compose import class_bar, class_compose, identity_class
+from qforms.cube import Cube
+from qforms.errors import DomainError, NotPrimitive
 from qforms.forms import Form, Mat2, act, content, discriminant
-from qforms.lattice import KleinPair, gross
+from qforms.lattice import KleinPair, Plane, gross
 from square_oracle import extend_unimodular
 
 from math import gcd, isqrt
@@ -27,6 +29,55 @@ def mat_sub(x, y):
     return Mat2(x.m11 - y.m11, x.m12 - y.m12, x.m21 - y.m21, x.m22 - y.m22)
 
 
+def mat_scale(x, k):
+    """The entrywise multiple k x of a Mat2."""
+    return Mat2(k * x.m11, k * x.m12, k * x.m21, k * x.m22)
+
+
+def mat_identity():
+    return Mat2(1, 0, 0, 1)
+
+
+def mat_from_rows(rows):
+    """The Mat2 of ((m11, m12), (m21, m22))."""
+    (a, b), (c, d) = rows
+    return Mat2(a, b, c, d)
+
+
+def class_power(s, n):
+    """s**n for primitive s; n < 0 through the inverse [bar(q)]."""
+    if n < 0:
+        if s.content != 1:
+            raise NotPrimitive("inversion is defined for primitive classes only")
+        return class_power(class_bar(s), -n)
+    result = identity_class(s.disc)
+    base = s
+    while n:
+        if n & 1:
+            result = class_compose(result, base)
+        n >>= 1
+        if n:
+            base = class_compose(base, base)
+    return result
+
+
+# Readers of the JSON documents of the CLI: a plane by its basis
+# coordinates, a Klein pair by its matrix rows, a cube by its entries
+
+
+def plane_from_dict(doc):
+    b1, b2 = doc["basis"]
+    return Plane.from_basis(Mat2.from_coords(*b1), Mat2.from_coords(*b2))
+
+
+def pair_from_dict(doc):
+    return KleinPair(mat_from_rows(doc["a1"]), mat_from_rows(doc["a2"]))
+
+
+def cube_from_dict(doc):
+    return Cube(tuple(doc["entries"]))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)
@@ -41,7 +92,7 @@ def random_form(rng, lo=-10, hi=10):
 
 
 def random_sl2(rng, length=8):
-    g = Mat2.identity()
+    g = mat_identity()
     for _ in range(rng.randint(1, length)):
         g = g @ rng.choice((GEN_S, GEN_T, GEN_T_INV))
     return g

@@ -21,7 +21,7 @@ from qforms.compose import (
     special_classes,
     special_square,
 )
-from qforms.forms import Form, form_class, is_primitive
+from qforms.forms import Form, content, form_class
 
 
 def reduced_definite(D):
@@ -38,7 +38,7 @@ def reduced_definite(D):
             if a == c and b < 0:
                 continue
             f = Form(a, b, c)
-            if is_primitive(f):
+            if content(f) == 1:
                 out.append(f)
     return out
 

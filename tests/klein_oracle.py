@@ -9,19 +9,24 @@ row Hermite basis of its two vectors with the sign of the transform
 folded into the second one.  The tests hold the closed forms against it,
 error codes included.
 
-The second half keeps the round trips through a Klein pair that the
+The second part keeps the round trips through a Klein pair that the
 complements, the cube recipe and the cube symmetries took before they
 were read off the Plucker coordinates: Phi of the plane, a change of
 the pair, and Psi back (``lattice.klein_map`` and ``lattice.klein_inverse``,
 with full pair validation); and the cube maps written entry by entry.
 
-The last part is the object path that ``lattice`` and ``cube`` took
+The third part is the object path that ``lattice`` and ``cube`` took
 before they read q_L, the composition identity, the cube of two forms
 and the cube law off integer coordinates: Mat2 products for q_L and the
 slicing pairs, ``FormClass.of`` and ``class_compose`` for the classes.
 The composition identity composes through a concordant pair
 (``concordant_oracle``), since the library composes through the same
 plane whose q_L it compares with.
+
+The last part holds the ambient forms Q(x, y) = tr(x bar(y)) and
+theta(x, y) = tr(x j bar(y)) on M2(Z), j = diag(1, -1), as matrix
+entries: the definitions that the orthogonal and symplectic complements
+are checked against.
 """
 
 from math import gcd
@@ -41,7 +46,7 @@ from qforms.errors import (
     ZeroDeterminant,
     ZeroDiscriminant,
 )
-from conftest import GEN_S, mat_add, mat_sub
+from conftest import GEN_S, mat_add, mat_identity, mat_scale, mat_sub
 from qforms.forms import Form, FormClass, Mat2, act, bar, content, discriminant
 from qforms.lattice import KleinPair, Plane, _pair_plucker, form_of, gross
 
@@ -74,10 +79,10 @@ def klein_map(plane):
     """The Klein vectors as matrix products of the stored basis."""
     if discriminant(q_of_plane(plane)) == 0:
         raise ZeroDiscriminant("Klein vectors require disc(q_L) != 0")
-    v1, v2 = plane.basis()
+    v1, v2 = plane.v1, plane.v2
     t = (v1 @ v2.bar()).trace()
-    a1 = mat_sub((v1 @ v2.bar()).scale(2), Mat2.identity().scale(t))
-    a2 = mat_sub((v2.bar() @ v1).scale(2), Mat2.identity().scale(t))
+    a1 = mat_sub(mat_scale(v1 @ v2.bar(), 2), mat_scale(mat_identity(), t))
+    a2 = mat_sub(mat_scale(v2.bar() @ v1, 2), mat_scale(mat_identity(), t))
     return KleinPair(a1, a2)
 
 
@@ -195,7 +200,7 @@ def negate_layer(cube, axis, side):
 
 def q_of_plane(plane):
     """q_L(x, y) = det(v1) x^2 + tr(v1 bar(v2)) xy + det(v2) y^2."""
-    v1, v2 = plane.basis()
+    v1, v2 = plane.v1, plane.v2
     return Form(v1.det(), (v1 @ v2.bar()).trace(), v2.det())
 
 
@@ -255,3 +260,17 @@ def cube_law_check(cube):
         raise NoCoprimePair("no two slicing forms have coprime contents")
     return all(class_compose(FormClass.of(qs[j]), FormClass.of(qs[k])) == FormClass.of(bar(qs[i]))
                for i, j, k in pairs)
+
+
+# ---------------------------------------------------------------------------
+# The ambient forms on M2(Z)
+
+
+def quad_q(x, y):
+    """The symmetric bilinear form Q(x, y) = tr(x bar(y))."""
+    return x.m11 * y.m22 - x.m12 * y.m21 - x.m21 * y.m12 + x.m22 * y.m11
+
+
+def sympl_theta(x, y):
+    """The symplectic form theta(x, y) = tr(x j bar(y)), j = diag(1, -1)."""
+    return x.m11 * y.m22 + x.m12 * y.m21 - x.m21 * y.m12 - x.m22 * y.m11

@@ -10,8 +10,8 @@ closed-form construction; it agrees class for class by Gauss's theorem.
 from math import gcd
 
 from qforms.errors import NotCoprimeContent
-from qforms.forms import Form, _ext_gcd, content, discriminant, substitute
-from square_oracle import extend_unimodular
+from qforms.forms import Form, _ext_gcd, content, discriminant
+from square_oracle import extend_unimodular, substitute
 
 
 def _height_shells(limit):

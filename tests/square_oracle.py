@@ -4,13 +4,22 @@ This is the way ``forms.square_residue`` used to work: find a primitive
 zero (x0, y0) of f, complete it to a matrix of SL2(Z) by an extended gcd,
 substitute, and read the residue off (0, +-N, c').  The library now
 writes the substituted coefficient out in closed form; the tests keep
-this construction as a reference, and ``extend_unimodular`` for building
-SL2(Z) elements.
+this construction as a reference, ``extend_unimodular`` for building
+SL2(Z) elements, and ``substitute`` for moving a form by any integer
+matrix.
 """
 
 from math import gcd, isqrt
 
-from qforms.forms import Mat2, _ext_gcd, content, discriminant, substitute
+from qforms.forms import Form, Mat2, _ext_gcd, content, discriminant
+
+
+def substitute(f, m11, m12, m21, m22):
+    """f((x, y) -> (m11*x + m12*y, m21*x + m22*y)) for any integer matrix."""
+    a = f(m11, m21)
+    c = f(m12, m22)
+    b = 2 * f.a * m11 * m12 + f.b * (m11 * m22 + m12 * m21) + 2 * f.c * m21 * m22
+    return Form(a, b, c)
 
 
 def extend_unimodular(x0, y0):

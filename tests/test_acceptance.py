@@ -9,7 +9,7 @@ import random
 import time
 from math import gcd, isqrt
 
-from conftest import GEN_S, GEN_T, GEN_T_INV, random_sl2
+from conftest import GEN_S, GEN_T, GEN_T_INV, mat_from_rows, random_sl2
 from qforms.cli import main
 from qforms.compose import (
     class_compose,
@@ -192,7 +192,7 @@ def test_criterion_6_klein_round_trips(capsys):
         plane = klein_inverse(pair)
         g1, g2 = random_sl2(rng), random_sl2(rng)
         moved = klein_map(transform_plane(plane, g1, g2))
-        m1, m2 = Mat2.from_rows(g1.rows()), Mat2.from_rows(g2.rows())
+        m1, m2 = mat_from_rows(g1.rows()), mat_from_rows(g2.rows())
         assert moved.a1 == m1 @ pair.a1 @ m1.bar()
         assert moved.a2 == m2 @ pair.a2 @ m2.bar()
     with capsys.disabled():

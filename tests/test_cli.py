@@ -8,8 +8,7 @@ import pytest
 
 from qforms.cli import main
 from qforms.compose import OrientedClassGroup, class_group
-from qforms.cube import Cube
-from qforms.lattice import pair_from_dict, plane_from_dict
+from conftest import cube_from_dict, pair_from_dict, plane_from_dict
 from test_forms import time_limit
 
 
@@ -215,7 +214,7 @@ class TestKleinAndCube:
         doc = json.loads(out)
         assert code == 0 and doc["law"] is True
         assert doc["classes"][1] == [2, 1, 3] and doc["classes"][2] == [2, 1, 3]
-        Cube.from_dict(doc)
+        cube_from_dict(doc)
 
     def test_cube_slice(self, capsys):
         code, out, _ = run_cli(capsys, "cube", "--slice",

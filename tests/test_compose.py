@@ -6,7 +6,7 @@ import pytest
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from conftest import forms_of_disc, random_form
+from conftest import class_power, forms_of_disc, random_form
 from classgroup_oracle import class_group_by_canonical
 from formclass_oracle import reduced_definite
 from search_oracle import compose_by_search
@@ -16,7 +16,6 @@ from qforms.compose import (
     class_bar,
     class_compose,
     class_group,
-    class_power,
     concordant_pair,
     dirichlet_compose,
     divisor_pairs,

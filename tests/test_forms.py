@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import GEN_S, GEN_T, GEN_T_INV, large_sl2_matrices, random_form, random_sl2, sl2_matrices
+from conftest import GEN_S, GEN_T, GEN_T_INV, large_sl2_matrices, mat_identity, random_form, random_sl2, sl2_matrices
 from qforms.compose import class_group
 from qforms.errors import NotUnimodular, ZeroDiscriminant, ZeroForm
 from qforms.forms import (
@@ -82,7 +82,7 @@ class TestBasics:
 class TestAction:
     def test_identity(self):
         f = Form(3, 1, -2)
-        assert act(Mat2.identity(), f) == f
+        assert act(mat_identity(), f) == f
 
     def test_s_swap(self):
         assert act(GEN_S, Form(6, 1, 1)) == Form(1, -1, 6)

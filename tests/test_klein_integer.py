@@ -11,7 +11,7 @@ a square and D a square, primitive and not.
 from hypothesis import assume, given, settings, strategies as st
 
 import klein_oracle
-from conftest import mat_add, outcome, regime_forms
+from conftest import mat_add, mat_scale, outcome, regime_forms
 from qforms import compose, cube, forms, lattice
 from qforms.cube import Cube, cube_from_forms, cube_law_check, negate_layer, reflect
 from qforms.forms import Form, FormClass
@@ -31,7 +31,7 @@ def klein_pairs(draw):
     kind = draw(st.sampled_from(("valid", "valid", "valid", "multiple", "mismatched", "zero-det", "not-gross")))
     if kind == "multiple":
         k = draw(st.sampled_from((2, 3, -6)))
-        pair = KleinPair(pair.a1.scale(k), pair.a2.scale(k))
+        pair = KleinPair(mat_scale(pair.a1, k), mat_scale(pair.a2, k))
     elif kind == "mismatched":
         pair = KleinPair(pair.a1, mat_add(pair.a2, Mat2(2, 0, 0, -2)))
     elif kind == "zero-det":

@@ -1,6 +1,8 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -97,3 +99,69 @@ def test_library_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name != "__future__" and name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, f"imports outside the standard library: {found}"
+
+
+# The modules whose public names make up the library's surface; cli, errors
+# and __init__ are not in it
+SURFACE = ("forms", "compose", "lattice", "cube", "seifert")
+
+
+def readme_rows():
+    """The backticked names in each module's row of the README module table."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in text.splitlines():
+        m = re.match(r"\| `qforms\.(\w+)` +\|(.*)\|$", line)
+        if m and m.group(1) in SURFACE:
+            rows[m.group(1)] = set(re.findall(r"`([\w.]+)`", m.group(2)))
+    return rows
+
+
+def public_surface(module):
+    """The public module-level functions and classes of a module, and the
+    public methods of those classes as Class.method."""
+    path = Path(qforms.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names, methods = [], []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                methods += [f"{node.name}.{f.name}" for f in node.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+    return names, methods
+
+
+def test_readme_lists_every_public_name():
+    rows = readme_rows()
+    assert set(rows) == set(SURFACE)
+    missing = [f"{m}.{name}" for m in SURFACE for name in public_surface(m)[0] if name not in rows[m]]
+    assert not missing, f"public names the README module table does not list: {missing}"
+
+
+def test_readme_names_resolve():
+    # a name removed from the library cannot stay listed
+    unknown = []
+    for m, names in readme_rows().items():
+        module = importlib.import_module(f"qforms.{m}")
+        for name in sorted(names):
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is None:
+                unknown.append(f"{m}: {name}")
+    assert not unknown, f"README module table names that do not resolve: {unknown}"
+
+
+def test_readme_lists_methods_the_library_does_not_read():
+    # a public method that no library module reads as an attribute is API
+    # for users only, so the table names it as Class.method
+    read = set()
+    for path in Path(qforms.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    rows = readme_rows()
+    missing = [f"{m}: {method}" for m in SURFACE for method in public_surface(m)[1]
+               if method.split(".")[1] not in read and method not in rows[m]]
+    assert not missing, f"unread public methods the README module table does not list: {missing}"
