@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from . import compose
 from .errors import DomainError, MismatchedDiscriminant, NotSquareDiscriminant
-from .forms import Form, FormClass, Mat2, canonical, discriminant, form_class
+from .forms import Form, FormClass, Mat2, canonical, discriminant, form_class, square_residue
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -292,7 +292,7 @@ def _cmd_seifert_feher(args) -> tuple[dict, str]:
 def _cmd_normal_form(args) -> tuple[dict, str]:
     n, a, b, c = args.args
     f = Form(a, b, c)
-    got_n, res = compose.square_normal_form(f)
+    got_n, res = square_residue(f)
     if n != got_n:
         raise NotSquareDiscriminant(f"disc({a},{b},{c}) = {discriminant(f)} != {n}^2")
     return {"n": n, "residue": res}, str(res)

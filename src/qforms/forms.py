@@ -151,7 +151,7 @@ def discriminant(f: Form) -> int:
 
 def content(f: Form) -> int:
     """gcd(|a|, |b|, |c|) >= 1; the form is primitive iff content == 1."""
-    return gcd(gcd(abs(f.a), abs(f.b)), abs(f.c))
+    return gcd(f.a, f.b, f.c)
 
 
 def act(g: Mat2, f: Form) -> Form:
@@ -355,21 +355,6 @@ def _walk(a: int, b: int, c: int, D: int, sq: int, stop=None):
 
 # ---------------------------------------------------------------------------
 # Reduction: square discriminants (D = N^2 > 0)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def square_residue(f: Form) -> tuple[int, int]:

@@ -84,7 +84,7 @@ def form_of(v: Mat2) -> Form:
 
 def gross_content(v: Mat2) -> int:
     """Content in the Gross lattice; equals content(form_of(v))."""
-    return gcd(gcd(abs(v.m11), abs(v.m12 // 2)), abs(v.m21 // 2))
+    return gcd(v.m11, v.m12 // 2, v.m21 // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ non-isometric intersection forms.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from typing import TYPE_CHECKING, Callable
 
 from .compose import (
@@ -49,7 +49,7 @@ from .compose import (
     _TABLE_MAX,
 )
 from .errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, OutOfRange, TooLarge
-from .forms import Form, FormClass, Mat2, _canonical_bar, _ext_gcd, _reduce_indefinite, _walk
+from .forms import Form, FormClass, Mat2, _canonical_bar, _reduce_indefinite, _walk
 
 if TYPE_CHECKING:  # lattice is imported where it is used, not at start-up
     from .lattice import KleinPair
@@ -286,10 +286,13 @@ def feher_klein_pair(p: int, q: int, k: int, n: int) -> tuple[KleinPair, Form, F
         raise OutOfRange("p and q must both exceed 1")
     if n < 1:
         raise OutOfRange("n must be at least 1")
-    g, s, negr = _ext_gcd(p, q)
+    g = gcd(p, q)
     if g != 1:
         raise NotCoprime(f"gcd({p}, {q}) = {g}")
-    r = -negr  # p*s - q*r = 1
+    s = pow(p, -1, q)  # then moved into (-q/2, q/2], the s of least absolute value
+    if 2 * s > q:
+        s -= q
+    r = (p * s - 1) // q  # p*s - q*r = 1
     if p * s - q * r != 1:
         raise AssertionError(f"p*s - q*r = {p * s - q * r}, expected 1")
     a1 = Mat2(-1 + 2 * k * p, 2 * q, -2 * n * p, 1 - 2 * k * p)

@@ -10,7 +10,7 @@ closed-form construction; it agrees class for class by Gauss's theorem.
 from math import gcd
 
 from qforms.errors import NotCoprimeContent
-from qforms.forms import Form, _ext_gcd, content, discriminant
+from qforms.forms import Form, content, discriminant
 from square_oracle import extend_unimodular, substitute
 
 
@@ -41,8 +41,9 @@ def compose_by_search(f1, f2):
     g1 = with_leading_by_search(f1, content(f2))
     g2 = with_leading_by_search(f2, g1.a)
     a1, a2 = g1.a, g2.a
-    # b = b1 mod 2a1 and b = b2 mod 2a2; the parities of b1, b2 agree
-    _, u, _ = _ext_gcd(2 * a1, 2 * a2)
+    # b = b1 mod 2a1 and b = b2 mod 2a2; the parities of b1, b2 agree, and
+    # u = a1^-1 mod a2
+    u = pow(a1, -1, abs(a2))
     b = g1.b + 2 * a1 * u * ((g2.b - g1.b) // 2)
     a = a1 * a2
     return Form(a, b, (b * b - D) // (4 * a))

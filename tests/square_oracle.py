@@ -1,7 +1,7 @@
 """The square-discriminant residue by a zero and its unimodular completion.
 
 This is the way ``forms.square_residue`` used to work: find a primitive
-zero (x0, y0) of f, complete it to a matrix of SL2(Z) by an extended gcd,
+zero (x0, y0) of f, complete it to a matrix of SL2(Z) by a modular inverse,
 substitute, and read the residue off (0, +-N, c').  The library now
 writes the substituted coefficient out in closed form; the tests keep
 this construction as a reference, ``extend_unimodular`` for building
@@ -11,7 +11,7 @@ matrix.
 
 from math import gcd, isqrt
 
-from qforms.forms import Form, Mat2, _ext_gcd, content, discriminant
+from qforms.forms import Form, Mat2, content, discriminant
 
 
 def substitute(f, m11, m12, m21, m22):
@@ -24,9 +24,10 @@ def substitute(f, m11, m12, m21, m22):
 
 def extend_unimodular(x0, y0):
     """Some g in SL2(Z) whose first column is the primitive vector (x0, y0)."""
-    g0, u, v = _ext_gcd(x0, y0)
-    if g0 != 1:
+    if gcd(x0, y0) != 1:
         raise ValueError("vector is not primitive")
+    u = pow(x0, -1, abs(y0)) if y0 else x0
+    v = (1 - x0 * u) // y0 if y0 else 0
     # x0 * u + y0 * v = 1, so ((x0, -v), (y0, u)) has determinant 1
     return Mat2(x0, -v, y0, u)
 

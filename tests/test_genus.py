@@ -28,9 +28,11 @@ where u = w/2 for f > 1 and u = 1 for f = 1.  (D0/n) is multiplicative in
 n: it is read off D0 mod 8 at 2 and from Euler's criterion at odd primes,
 and a smallest-prime-factor sieve extends it to every n < |D0|.
 
-Discriminants are seeded non-squares of both signs with |D| <= 10^5;
-Legendre symbols come from Euler's criterion and the primes from trial
-division.
+Discriminants are seeded non-squares of both signs with |D| <= 10^5, then
+seeded D < 0 with 10^5 < |D| <= 10^6 for the class number and seeded
+D = 1 (mod 4) of both signs with |D| >= 10^7, up to the class-group
+budget, for the 2-torsion count and the principal genus.  Legendre
+symbols come from Euler's criterion and the primes from trial division.
 """
 
 import random
@@ -80,6 +82,18 @@ def discriminants(seed, count):
     return out
 
 
+def budget_discriminants(seed, count):
+    """Seeded non-square D = 1 (mod 4) of alternating sign with |D| >= 10^7,
+    inside the class-group budget -2.4 * 10^8 < D < 1.6 * 10^8."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        D = -rng.randint(10**7, 24 * 10**7 - 1) if len(out) % 2 else rng.randint(10**7, 16 * 10**7 - 1)
+        if D % 4 == 1 and not (D > 0 and isqrt(D) ** 2 == D):
+            out.append(D)
+    return out
+
+
 @pytest.mark.parametrize("D", discriminants(2027, 60))
 def test_characters_multiply(D):
     triples, _ = _class_triples(D)
@@ -92,7 +106,7 @@ def test_characters_multiply(D):
             assert character(xy, p) == character(x, p) * character(y, p), (D, x, y, xy, p)
 
 
-@pytest.mark.parametrize("D", discriminants(2028, 60))
+@pytest.mark.parametrize("D", discriminants(2028, 60) + budget_discriminants(2032, 12))
 def test_two_torsion_count(D):
     triples, _ = _class_triples(D)
     ambiguous = sum(_canonical_bar(*t, D) == t for t in triples)
@@ -156,12 +170,23 @@ def negative_discriminants(seed, count):
     return out + [f * f * D0 for D0 in (-3, -4) for f in (2, 3, rng.randint(4, 150))]
 
 
-@pytest.mark.parametrize("D", negative_discriminants(2029, 20))
+def large_negative_discriminants(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        D = -rng.randint(10**5 + 1, 10**6)
+        if D % 4 in (0, 1):
+            out.append(D)
+    return out
+
+
+@pytest.mark.parametrize("D", negative_discriminants(2029, 20) + large_negative_discriminants(2031, 4))
 def test_class_number_formula(D):
     assert class_number(D) == len(_class_triples(D)[0]), D
 
 
-@pytest.mark.parametrize("D", [D for D in discriminants(2030, 120) if D % 4 == 1][:30])
+@pytest.mark.parametrize("D", [D for D in discriminants(2030, 120) if D % 4 == 1][:30]
+                         + budget_discriminants(2032, 12))
 def test_special_squares_in_principal_genus(D):
     primes = odd_primes(D)
     for t in _half_special_squares(D):

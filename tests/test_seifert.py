@@ -1,7 +1,10 @@
+import hashlib
+import json
 import time
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import outcome
 from qforms import seifert
@@ -16,7 +19,7 @@ from qforms.errors import (
     TooLarge,
 )
 from qforms.forms import FormClass, discriminant, form_class
-from qforms.lattice import is_symplectic, klein_inverse, q_of_plane, symplectic_complement
+from qforms.lattice import is_symplectic, klein_inverse, pair_to_dict, q_of_plane, symplectic_complement
 from qforms.seifert import (
     b4_distinguishable,
     enumerate_realizable_pairs,
@@ -273,7 +276,39 @@ class TestEnumeratePairs:
         assert pairs == sorted(pairs, key=lambda p: (p["s1"], p["s2"]))
 
 
+# SHA-256 over the JSON of pair_to_dict and both target triples of
+# feher_klein_pair(p, q, k, n), one line per call, for coprime 2 <= p, q <= 30,
+# -2 <= k <= 2 and n in (1, 2): 4,960 calls.  The value was computed when
+# s and r came from an extended Euclid loop on (p, q)
+FEHER_DIGEST = "bb524bfa34394b9f8bbbcf97cb28de212224cb1ec9a7830b59b2546db367cc6a"
+
+
 class TestFeher:
+    def test_pairs_match_the_digest(self):
+        digest = hashlib.sha256()
+        for p in range(2, 31):
+            for q in range(2, 31):
+                if gcd(p, q) != 1:
+                    continue
+                for k in range(-2, 3):
+                    for n in (1, 2):
+                        pair, t1, t2 = feher_klein_pair(p, q, k, n)
+                        row = {"pair": pair_to_dict(pair), "l": list(t1.coeffs()), "pp": list(t2.coeffs())}
+                        digest.update(json.dumps(row, separators=(",", ":")).encode() + b"\n")
+        assert digest.hexdigest() == FEHER_DIGEST
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.integers(2, 10**15), st.integers(2, 10**15))
+    def test_bezout_coefficients(self, p, q):
+        # with k = 0 and n = 1 the complement's target is (pq, -1 - 2qr, rs + 1)
+        assume(gcd(p, q) == 1)
+        _, _, t2 = feher_klein_pair(p, q, 0, 1)
+        r = (-1 - t2.b) // (2 * q)
+        s, rem = divmod(1 + q * r, p)
+        assert rem == 0 and t2.b == -1 - 2 * q * r
+        assert p * s - q * r == 1
+        assert -q < 2 * s <= q
+
     def test_target_forms(self):
         pair, t1, t2 = feher_klein_pair(2, 3, 1, 5)
         assert (t1.a, t1.b, t1.c) == (6, -3, 5)
