@@ -23,7 +23,12 @@ from .errors import DomainError, MismatchedDiscriminant, NotSquareDiscriminant
 from .forms import Form, FormClass, Mat2, canonical, discriminant, form_class, square_residue
 
 
-def _common_options() -> argparse.ArgumentParser:
+def _add_disc(p: argparse.ArgumentParser) -> None:
+    p.add_argument("disc", type=int, nargs="?", help="discriminant (bare, possibly negative)")
+    p.add_argument("--disc", dest="disc_opt", type=int, help="discriminant (flag form)")
+
+
+def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps absent flags out of the namespace, so values parsed
     # before a subcommand survive the subparser's namespace merge
     common = argparse.ArgumentParser(add_help=False)
@@ -31,16 +36,6 @@ def _common_options() -> argparse.ArgumentParser:
                         help="emit JSON instead of text")
     common.add_argument("--cache-dir", metavar="DIR", default=argparse.SUPPRESS,
                         help="accepted and ignored: no command reads or writes files")
-    return common
-
-
-def _add_disc(p: argparse.ArgumentParser) -> None:
-    p.add_argument("disc", type=int, nargs="?", help="discriminant (bare, possibly negative)")
-    p.add_argument("--disc", dest="disc_opt", type=int, help="discriminant (flag form)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
     parser = argparse.ArgumentParser(
         prog="qforms",
         parents=[common],

@@ -408,45 +408,23 @@ def _sqrt_mod_prime(n: int, p: int) -> int:
     return r
 
 
-def _prime_power_roots(D: int, p: int, top: int, roots: dict[int, list[int]]) -> None:
-    """Set roots[q], for each power q = p^k <= top of the odd prime p, to
-    the x mod q with x^2 = D (mod q).
-
-    The roots mod p are 0 for p | D and +-r from Tonelli-Shanks otherwise.
-    A root r mod q lifts to mod pq by Hensel's step when p does not divide
-    r; when it does, (r + tq)^2 = r^2 mod pq for every t, so all p lifts
-    are roots or none is.
-    """
-    if D % p == 0:
-        rs = [0]
-    elif pow(D, (p - 1) // 2, p) == 1:
-        r = _sqrt_mod_prime(D % p, p)
-        rs = [r, p - r]
-    else:
-        rs = []
-    roots[p] = rs
-    q = p
-    while p * q <= top:
-        lifted = []
-        for r in rs:
-            if r % p:
-                lifted.append((r - (r * r - D) * pow(2 * r, -1, p * q)) % (p * q))
-            elif (r * r - D) % (p * q) == 0:
-                lifted.extend(range(r, p * q, q))
-        q *= p
-        roots[q] = rs = lifted
-
-
 def _roots_mod_4a(D: int, top: int) -> list[tuple[int, int]]:
     """Every (a, z) with 1 <= a <= top, 0 <= z < 2a and z^2 = D (mod 4a).
 
     Write a = t m with t a power of 2 and m odd.  The x mod 2t with
     x^2 = D (mod 4t) are lifted from t to 2t: each is some such x or
-    x + 2t, as (x + 2t)^2 = x^2 (mod 4t).  The roots of D mod m are
-    combined by CRT along m = p^k n (p the least prime factor of m, from a
-    sieve) from the roots mod p^k and those mod n.  Each z is then the CRT
-    of a root x mod 2t and a root y mod m; for odd a (t = 1) that is y or
-    y + m, whichever has the parity of D.
+    x + 2t, as (x + 2t)^2 = x^2 (mod 4t).  The roots of D mod odd m are
+    taken in increasing m from those of smaller moduli, with p the least
+    prime factor of m (from a sieve):
+      - m = p: 0 when p | D, otherwise +-r from Tonelli-Shanks when D is
+        a square mod p, and none when it is not;
+      - m = p^j: Hensel's step lifts each root r mod m/p when p does not
+        divide r; when it does, (r + t m/p)^2 = r^2 (mod m) for every t,
+        so all p lifts are roots or none is;
+      - any other m = q n, q = p^j and n > 1 prime to p: the CRT of the
+        roots mod q and mod n, none when either has none.
+    Each z is then the CRT of a root x mod 2t and a root y mod m; for odd
+    a (t = 1) that is y or y + m, whichever has the parity of D.
     """
     spf = list(range(top + 1))
     for p in range(3, isqrt(top) + 1, 2):
@@ -457,17 +435,30 @@ def _roots_mod_4a(D: int, top: int) -> list[tuple[int, int]]:
     roots = {1: [0]}  # roots[m]: the x mod m with x^2 = D (mod m), m odd
     for m in range(3, top + 1, 2):
         p = spf[m]
+        q, n = p, m // p
+        while n % p == 0:
+            q, n = q * p, n // p
         if m == p:
-            _prime_power_roots(D, p, top, roots)
-        elif m not in roots:  # m = q n, q = p^k, n > 1 prime to p
-            q, n = p, m // p
-            while n % p == 0:
-                q, n = q * p, n // p
-            if roots[q] and roots[n]:
-                u = pow(q, -1, n)
-                roots[m] = [x + q * ((y - x) * u % n) for x in roots[q] for y in roots[n]]
+            if D % p == 0:
+                rs = [0]
+            elif pow(D, (p - 1) // 2, p) == 1:
+                r = _sqrt_mod_prime(D % p, p)
+                rs = [r, p - r]
             else:
-                roots[m] = []
+                rs = []
+        elif n == 1:
+            s, rs = m // p, []
+            for r in roots[s]:
+                if r % p:
+                    rs.append((r - (r * r - D) * pow(2 * r, -1, m)) % m)
+                elif (r * r - D) % m == 0:
+                    rs.extend(range(r, m, s))
+        elif roots[q] and roots[n]:
+            u = pow(q, -1, n)
+            rs = [x + q * ((y - x) * u % n) for x in roots[q] for y in roots[n]]
+        else:
+            rs = []
+        roots[m] = rs
     out = [(m, y + m * ((y - D) % 2)) for m in range(1, top + 1, 2) for y in roots[m]]
     # the x mod 2t with x^2 = D (mod 4t), from t = 2 on
     xs, t = [x for x in (D % 2, D % 2 + 2) if (x * x - D) % 8 == 0], 2
@@ -586,10 +577,6 @@ class SpecialClass:
     c: int
     cls: FormClass
 
-    @property
-    def disc(self) -> int:
-        return 1 - 4 * self.a * self.c
-
 
 # divisor_pairs refuses |m| above this: its sqrt(|m|) = 10^7 trial
 # divisions take about 1 s (0.98 s on a 2-vCPU x86 host, Python 3.11)
@@ -668,9 +655,7 @@ def special_classes(D: int) -> list[SpecialClass]:
 
 def special_square(a: int, c: int) -> FormClass:
     """[a x^2 + x y + c y^2]^2 = [a^2 x^2 + (1 - 2ac) x y + c^2 y^2]."""
-    D = 1 - 4 * a * c
-    if D == 0:
-        raise ZeroDiscriminant("1 - 4ac must be nonzero")
+    D = 1 - 4 * a * c  # odd, so never 0
     return FormClass(Form(*_special_square(a, c, D)), D)
 
 

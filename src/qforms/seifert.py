@@ -128,18 +128,6 @@ def prescribed_form_exists(D: int) -> tuple[bool, Witness | None]:
                           lambda t: _compose(*t, *t, D), None)
 
 
-def _prime_power_k2(m: int) -> bool:
-    """m in {1} union {p, p^2 : p prime}."""
-    if m == 1:
-        return True
-    if m < 1:
-        return False
-    if _is_prime(m):
-        return True
-    r = isqrt(m)
-    return r * r == m and _is_prime(r)
-
-
 # The first 13 primes as Miller-Rabin bases decide primality exactly for
 # every n below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -181,7 +169,11 @@ def negdisc_criterion(D: int) -> bool:
     _require_one_mod_4(D)
     if D >= 0:
         raise NotNegative(f"criterion applies to negative discriminants, got {D}")
-    return not _prime_power_k2((1 - D) // 4)
+    m = (1 - D) // 4  # >= 1, as D <= -3
+    if m == 1 or _is_prime(m):
+        return False
+    r = isqrt(m)
+    return not (r * r == m and _is_prime(r))
 
 
 def squaredisc_criterion(N: int) -> bool:

@@ -8,6 +8,9 @@ import pytest
 
 from qforms.cli import main
 from qforms.compose import OrientedClassGroup, class_group
+from qforms.forms import FormClass
+from qforms.lattice import klein_inverse, plane_to_dict, symplectic_complement
+from qforms.seifert import feher_klein_pair
 from conftest import cube_from_dict, pair_from_dict, plane_from_dict
 from test_forms import time_limit
 
@@ -208,6 +211,27 @@ class TestKleinAndCube:
         doc = json.loads(out)
         assert code == 0 and doc["class"] == [1, 1, 6]
 
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    def test_klein_pair_symplectic(self, capsys, mode):
+        # the pair `seifert feher 2 3 1 5` prints; its plane is symplectic
+        argv = ["klein", "--pair", "3", "6", "-20", "-3", "1", "4", "-28", "-1"]
+        code, out, _ = run_cli(capsys, *argv, *(["--json"] if mode == "json" else []))
+        pair, _, t2 = feher_klein_pair(2, 3, 1, 5)
+        basis = plane_to_dict(symplectic_complement(klein_inverse(pair)))["basis"]
+        q_complement = list(FormClass.of(t2).coeffs())
+        assert code == 0 and q_complement == [5, 3, 6]
+        if mode == "json":
+            doc = json.loads(out)
+            assert doc["symplectic"] is True
+            assert doc["symplectic_complement"]["basis"] == basis
+            assert doc["q_symplectic_complement"] == q_complement
+        else:
+            lines = out.splitlines()
+            assert "symplectic: true" in lines
+            assert "symplectic complement: " + " | ".join(
+                " ".join(map(str, v)) for v in basis) in lines
+            assert "q of symplectic complement: 5 3 6" in lines
+
     def test_cube_from_forms(self, capsys):
         code, out, _ = run_cli(capsys, "cube", "--from-forms",
                                "2", "1", "3", "2", "1", "3", "--json")
@@ -267,6 +291,21 @@ class TestErrorsAndModes:
                               "2", "1", "3", "2", "1", "3"],
                              capture_output=True, text=True)
         assert out.returncode == 0 and out.stdout == "2 -1 3\n"
+
+    # the checks the commands make on their arguments: (1, 1, -1) has
+    # discriminant 5, not -23, and disc(9, 13, 4) = 5^2, not 7^2
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    @pytest.mark.parametrize("cmd, error", [
+        ("seifert pair -23 1 1 6 1 1 -1", "mismatched-discriminant"),
+        ("normal-form 7 9 13 4", "not-square-discriminant"),
+    ])
+    def test_argument_checks(self, capsys, cmd, error, mode):
+        code, out, err = run_cli(capsys, *cmd.split(), *(["--json"] if mode == "json" else []))
+        assert code == 1
+        if mode == "json":
+            assert json.loads(out)["error"] == error
+        else:
+            assert err.startswith(f"error[{error}]")
 
     @pytest.mark.parametrize("cmd", ["reduce", "compose", "classgroup",
                                      "special-squares", "klein", "cube",

@@ -34,8 +34,22 @@ from qforms.errors import (
     NotOddPositive,
     NotOneMod4,
     NotPrimitive,
+    NotSquareDiscriminant,
+    ZeroDiscriminant,
 )
-from qforms.forms import Form, FormClass, Mat2, act, bar, content, discriminant, form_class, neg
+from qforms.forms import (
+    Form,
+    FormClass,
+    Mat2,
+    act,
+    bar,
+    content,
+    discriminant,
+    form_class,
+    is_equivalent,
+    neg,
+    square_residue,
+)
 from qforms.cli import main
 from qforms.errors import TooLarge
 from qforms.seifert import nonisotopic_exists
@@ -172,6 +186,24 @@ class TestDirichlet:
                 continue
             checked += 1
             assert content(dirichlet_compose(f1, f2)) == content(f1) * content(f2)
+
+
+# D(1, 2, 1) = 0, D(1, 1, 6) = -23, D(1, 1, -1) = 5, D(2, 10, 0) = 10^2
+@pytest.mark.parametrize("call, error, code", [
+    (lambda: dirichlet_compose(Form(1, 2, 1), Form(1, 2, 1)), ZeroDiscriminant, "zero-discriminant"),
+    (lambda: dirichlet_compose(Form(1, 1, 6), Form(1, 1, -1)), MismatchedDiscriminant, "mismatched-discriminant"),
+    (lambda: class_compose(form_class(1, 1, 6), form_class(1, 1, -1)), MismatchedDiscriminant, "mismatched-discriminant"),
+    (lambda: concordant_pair(Form(1, 2, 1), Form(1, 2, 1)), ZeroDiscriminant, "zero-discriminant"),
+    (lambda: square_residue(Form(1, 1, 6)), NotSquareDiscriminant, "not-square-discriminant"),
+    (lambda: square_residue(Form(2, 10, 0)), NotPrimitive, "not-primitive"),
+    (lambda: is_equivalent(Form(1, 2, 1), Form(1, 1, 6)), ZeroDiscriminant, "zero-discriminant"),
+    (lambda: is_equivalent(Form(1, 1, 6), Form(1, 2, 1)), ZeroDiscriminant, "zero-discriminant"),
+], ids=["dirichlet-zero", "dirichlet-mismatched", "class-compose-mismatched", "concordant-zero",
+        "residue-not-square", "residue-not-primitive", "equivalent-zero-first", "equivalent-zero-second"])
+def test_error_codes(call, error, code):
+    with pytest.raises(error) as exc:
+        call()
+    assert exc.value.code == code
 
 
 class TestClassOps:
