@@ -92,18 +92,17 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import (
-    MismatchedDiscriminant,
     NotADiscriminant,
     NotCoprimeContent,
     NotCoprimeResidue,
     NotOddPositive,
     NotOneMod4,
     TooLarge,
-    ZeroDiscriminant,
 )
 from .forms import (
     Form,
     FormClass,
+    _common_disc,
     content,
     discriminant,
     form_class,
@@ -161,11 +160,7 @@ def concordant_pair(f1: Form, f2: Form) -> tuple[Form, Form]:
     a1 a2 / d^2 as the leading coefficient for any two forms.  They are
     the textbook witnesses of Dirichlet's formula.
     """
-    D = discriminant(f1)
-    if D == 0 or discriminant(f2) == 0:
-        raise ZeroDiscriminant("concordance requires nonzero discriminants")
-    if discriminant(f2) != D:
-        raise MismatchedDiscriminant(f"{discriminant(f2)} != {D}")
+    D = _common_disc(discriminant(f1), discriminant(f2))
     m1, m2 = content(f1), content(f2)
     if gcd(m1, m2) != 1:
         raise NotCoprimeContent(f"contents {m1}, {m2} are not coprime")
@@ -263,12 +258,7 @@ def dirichlet_compose(f1: Form, f2: Form) -> Form:
     f2, S-swapped and translated as ``_compose`` returns it.  Only its
     class and content are fixed; the representative is the one the recipe
     gives."""
-    D = discriminant(f1)
-    D2 = discriminant(f2)
-    if D == 0 or D2 == 0:
-        raise ZeroDiscriminant("composition requires nonzero discriminants")
-    if D2 != D:
-        raise MismatchedDiscriminant(f"{D2} != {D}")
+    D = _common_disc(discriminant(f1), discriminant(f2))
     return Form(*_compose(f1.a, f1.b, f1.c, f2.a, f2.b, f2.c, D))
 
 
@@ -279,9 +269,7 @@ def _compose_reduced(t1: tuple[int, int, int], t2: tuple[int, int, int], D: int)
 
 def class_compose(s1: FormClass, s2: FormClass) -> FormClass:
     """Composition on classes; defined for coprime contents."""
-    D = s1.disc
-    if s2.disc != D:
-        raise MismatchedDiscriminant(f"{s2.disc} != {D}")
+    D = _common_disc(s1.disc, s2.disc)
     return FormClass(Form(*_compose_reduced(s1.coeffs(), s2.coeffs(), D)), D)
 
 
@@ -368,14 +356,13 @@ class OrientedClassGroup:
         return table
 
     def element_order(self, s: FormClass) -> int:
-        if s.disc != self.disc:
-            raise MismatchedDiscriminant(f"{s.disc} != {self.disc}")
+        D = _common_disc(self.disc, s.disc)
         t = s.coeffs()
         e = self.elements[self.identity_index].coeffs()
         n = 1
         acc = t
         while acc != e:
-            acc = _compose_reduced(acc, t, self.disc)
+            acc = _compose_reduced(acc, t, D)
             n += 1
         return n
 
@@ -665,8 +652,12 @@ def _special_square(a: int, c: int, D: int) -> tuple[int, int, int]:
 
 
 def _require_one_mod_4(D: int) -> None:
-    if D == 0 or D % 4 != 1:
-        raise NotOneMod4(f"{D} is not a nonzero integer = 1 mod 4")
+    # the gate of the paper's D = 1 mod 4, which orders its two refusals: a
+    # non-discriminant (0, or 2 or 3 mod 4) is not-a-discriminant, as at
+    # every entry point that takes D, and only then D = 0 mod 4 not-one-mod-4
+    _check_discriminant(D)
+    if D % 4 != 1:
+        raise NotOneMod4(f"{D} is not 1 mod 4")
 
 
 def _special_witnesses(D: int) -> list[tuple[int, int]]:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .compose import _compose_reduced
-from .errors import MismatchedDiscriminant, NoCoprimePair, NotPairPrimitive, OutOfRange, ZeroDiscriminant, ZeroForm
-from .forms import Form, _canonical, _canonical_bar, content, discriminant
+from .errors import NoCoprimePair, NotPairPrimitive, OutOfRange, ZeroDiscriminant, ZeroForm
+from .forms import Form, _canonical, _canonical_bar, _common_disc, content, discriminant
 from .lattice import _hermite
 
 
@@ -83,11 +83,12 @@ def cube_law_check(cube: Cube) -> bool:
     reduced triple.
     """
     qs = _slicing_triples(cube.entries)
-    d1, d2, d3 = (b * b - 4 * a * c for a, b, c in qs)
+    # the three slicing discriminants are one polynomial in the entries,
+    # Cayley's hyperdeterminant of the cube, so the first is the common one
+    a, b, c = qs[0]
+    d1 = b * b - 4 * a * c
     if d1 == 0:
         raise ZeroDiscriminant("cube slicings have discriminant 0")
-    if not (d2 == d3 == d1):
-        raise MismatchedDiscriminant("slicing discriminants disagree")
     m = [gcd(*q) for q in qs]
     if m == [1, 1, 1]:
         pairs = [(0, 1, 2)]
@@ -107,11 +108,7 @@ def cube_from_forms(q1: Form, q2: Form) -> Cube:
     the second q2, and the first composes with them to the identity.
     Requires equal nonzero discriminants and coprime contents.
     """
-    d1, d2 = discriminant(q1), discriminant(q2)
-    if d1 == 0 or d2 == 0:
-        raise ZeroDiscriminant("cube construction requires nonzero discriminants")
-    if d1 != d2:
-        raise MismatchedDiscriminant(f"{d1} != {d2}")
+    _common_disc(discriminant(q1), discriminant(q2))
     if gcd(content(q1), content(q2)) != 1:
         raise NotPairPrimitive("a common prime divides the contents of q1 and q2")
     (x0, x1, x2, x3), (y0, y1, y2, y3) = _hermite((q1.b + q2.b) // 2, q2.a, -q1.a, -q1.c, q2.c,

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import (
+    MismatchedDiscriminant,
     NotPrimitive,
     NotSquareDiscriminant,
     NotUnimodular,
@@ -147,6 +148,15 @@ def _require_sl2(g: Mat2) -> None:
 def discriminant(f: Form) -> int:
     """b^2 - 4ac."""
     return f.b * f.b - 4 * f.a * f.c
+
+
+def _common_disc(D: int, D2: int) -> int:
+    # the discriminant D of two forms or classes, which must share it and not be 0
+    if D == 0 or D2 == 0:
+        raise ZeroDiscriminant(f"discriminants {D}, {D2}: both must be nonzero")
+    if D2 != D:
+        raise MismatchedDiscriminant(f"{D2} != {D}")
+    return D
 
 
 def content(f: Form) -> int:

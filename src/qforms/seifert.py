@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Callable
 from .compose import (
     identity_class,
     phi_n,
-    _check_discriminant,
     _class_triples,
     _compose,
     _compose_reduced,
@@ -48,8 +47,8 @@ from .compose import (
     _special_witnesses,
     _TABLE_MAX,
 )
-from .errors import MismatchedDiscriminant, NotCoprime, NotNegative, NotOddPositive, OutOfRange, TooLarge
-from .forms import Form, FormClass, Mat2, _canonical_bar, _reduce_indefinite, _walk
+from .errors import NotCoprime, NotNegative, OutOfRange, TooLarge
+from .forms import Form, FormClass, Mat2, _canonical_bar, _common_disc, _reduce_indefinite, _walk
 
 if TYPE_CHECKING:  # lattice is imported where it is used, not at start-up
     from .lattice import KleinPair
@@ -95,9 +94,7 @@ def _first_witness(D: int, keep: Callable[[tuple[int, int, int]], bool],
 
 def realizable_disjoint_pair(s1: FormClass, s2: FormClass) -> tuple[bool, Witness | None]:
     """Does some special square carry s1 to s2?  Returns the first witness."""
-    if s1.disc != s2.disc:
-        raise MismatchedDiscriminant(f"{s1.disc} != {s2.disc}")
-    D = s1.disc
+    D = _common_disc(s1.disc, s2.disc)
     t1, t2 = s1.coeffs(), s2.coeffs()
     return _first_witness(D, lambda t: _compose_reduced(t, t1, D) == t2,
                           lambda t: _compose(*t, *t1, D), t2)
@@ -105,7 +102,6 @@ def realizable_disjoint_pair(s1: FormClass, s2: FormClass) -> tuple[bool, Witnes
 
 def nonisotopic_exists(D: int) -> tuple[bool, Witness | None]:
     """Is some special square non-trivial (equivalently, S+_D non-trivial)?"""
-    _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
     sq = isqrt(D) if D > 0 else 0
     # the identity is compared only for D < 0 and square D, where it costs
     # one reduction; for positive non-square D the walk finds principal forms
@@ -123,7 +119,6 @@ def prescribed_form_exists(D: int) -> tuple[bool, Witness | None]:
     For positive non-square D each t^4 = t^2 t^2 is composed and reduced,
     and the principal cycle is walked once to find which t^4 lie on it.
     """
-    _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
     return _first_witness(D, lambda t: _canonical_bar(*t, D) != t,
                           lambda t: _compose(*t, *t, D), None)
 
@@ -178,9 +173,8 @@ def negdisc_criterion(D: int) -> bool:
 
 def squaredisc_criterion(N: int) -> bool:
     """For odd N > 0: a knot with determinant N^2 and a non-isotopic pair
-    of Seifert surfaces exists iff N > 3."""
-    if N <= 0 or N % 2 == 0:
-        raise NotOddPositive(f"N must be odd and positive, got {N}")
+    of Seifert surfaces exists iff N > 3.  ``phi_n`` refuses any other N
+    with NotOddPositive."""
     result = N > 3
     # cross-check through the explicit isomorphism: [Q_{N,2}]^2 = phi(4)
     if result != (phi_n(N, 4) != identity_class(N * N)):
@@ -190,10 +184,9 @@ def squaredisc_criterion(N: int) -> bool:
 
 def b4_distinguishable(s1: FormClass, s2: FormClass) -> bool:
     """s1 not in {s2, bar(s2)}: pushed-in surfaces are non-isotopic in B^4."""
-    if s1.disc != s2.disc:
-        raise MismatchedDiscriminant(f"{s1.disc} != {s2.disc}")
+    D = _common_disc(s1.disc, s2.disc)
     t1, t2 = s1.coeffs(), s2.coeffs()
-    return t1 != t2 and t1 != _canonical_bar(*t2, s1.disc)
+    return t1 != t2 and t1 != _canonical_bar(*t2, D)
 
 
 def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> list[dict]:
@@ -223,7 +216,6 @@ def enumerate_realizable_pairs(D: int, include_nonprimitive: bool = False) -> li
     composition when k * |T'| exceeds _TABLE_MAX.  No composition table
     and no FormClass is built.
     """
-    _check_discriminant(D)  # not-a-discriminant before not-one-mod-4
     _require_one_mod_4(D)
     classes, _ = _class_triples(D)
     if include_nonprimitive:

@@ -193,13 +193,16 @@ class TestDirichlet:
     (lambda: dirichlet_compose(Form(1, 2, 1), Form(1, 2, 1)), ZeroDiscriminant, "zero-discriminant"),
     (lambda: dirichlet_compose(Form(1, 1, 6), Form(1, 1, -1)), MismatchedDiscriminant, "mismatched-discriminant"),
     (lambda: class_compose(form_class(1, 1, 6), form_class(1, 1, -1)), MismatchedDiscriminant, "mismatched-discriminant"),
+    (lambda: class_compose(FormClass(Form(1, 2, 1), 0), FormClass(Form(1, 2, 1), 0)), ZeroDiscriminant,
+     "zero-discriminant"),
     (lambda: concordant_pair(Form(1, 2, 1), Form(1, 2, 1)), ZeroDiscriminant, "zero-discriminant"),
     (lambda: square_residue(Form(1, 1, 6)), NotSquareDiscriminant, "not-square-discriminant"),
     (lambda: square_residue(Form(2, 10, 0)), NotPrimitive, "not-primitive"),
     (lambda: is_equivalent(Form(1, 2, 1), Form(1, 1, 6)), ZeroDiscriminant, "zero-discriminant"),
     (lambda: is_equivalent(Form(1, 1, 6), Form(1, 2, 1)), ZeroDiscriminant, "zero-discriminant"),
-], ids=["dirichlet-zero", "dirichlet-mismatched", "class-compose-mismatched", "concordant-zero",
-        "residue-not-square", "residue-not-primitive", "equivalent-zero-first", "equivalent-zero-second"])
+], ids=["dirichlet-zero", "dirichlet-mismatched", "class-compose-mismatched", "class-compose-zero",
+        "concordant-zero", "residue-not-square", "residue-not-primitive", "equivalent-zero-first",
+        "equivalent-zero-second"])
 def test_error_codes(call, error, code):
     with pytest.raises(error) as exc:
         call()

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import outcome
 from qforms import seifert
-from qforms.compose import class_compose, class_group, special_square
+from qforms.compose import class_compose, class_group, s_plus_subgroup, special_classes, special_square
 from qforms.errors import (
     MismatchedDiscriminant,
     NotCoprime,
@@ -31,6 +31,7 @@ from qforms.seifert import (
     squaredisc_criterion,
     _is_prime,
 )
+from test_forms import time_limit
 
 
 class TestRealizablePair:
@@ -106,6 +107,27 @@ class TestExistence:
             assert calls == []
             assert outcome(nonisotopic_exists, d) == want[d][1]
             assert calls == ([d] if d < 0 or isqrt(d) ** 2 == d else [])
+
+
+class TestDiscriminantGate:
+    """Each entry point that takes D refuses D = 0 and D = 2, 3 mod 4 as
+    not-a-discriminant, then D = 0 mod 4 as not-one-mod-4, before any
+    budget; negdisc_criterion then refuses D > 0 as not-negative."""
+
+    @pytest.mark.parametrize("D", [*range(-8, 10), 4 * 10**30 + 2])
+    @pytest.mark.parametrize("fn", [special_classes, s_plus_subgroup, nonisotopic_exists,
+                                    prescribed_form_exists, enumerate_realizable_pairs,
+                                    negdisc_criterion], ids=lambda fn: fn.__name__)
+    def test_error_codes(self, fn, D):
+        if D == 0 or D % 4 > 1:
+            expected = "not-a-discriminant"
+        elif D % 4 == 0:
+            expected = "not-one-mod-4"
+        else:
+            expected = "not-negative" if fn is negdisc_criterion and D > 0 else None
+        with time_limit(1.0):
+            kind, value = outcome(fn, D)
+        assert (value if kind == "err" else None) == expected
 
 
 class TestCriteria:
