@@ -24,8 +24,7 @@ from .forms import Form, FormClass, Mat2, canonical, discriminant, form_class, s
 
 
 def _add_disc(p: argparse.ArgumentParser) -> None:
-    p.add_argument("disc", type=int, nargs="?", help="discriminant (bare, possibly negative)")
-    p.add_argument("--disc", dest="disc_opt", type=int, help="discriminant (flag form)")
+    p.add_argument("disc", type=int, help="discriminant (bare, possibly negative, or after --)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,15 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_disc(args) -> int:
-    given = {d for d in (args.disc, args.disc_opt) if d is not None}
-    if len(given) != 1:
-        problem = "is required" if not given else "was given twice with different values"
-        print(f"qforms: error: a discriminant {problem} (bare or --disc=D)", file=sys.stderr)
-        raise SystemExit(2)
-    return given.pop()
-
-
 def _line(values) -> str:
     return " ".join(map(str, values))
 
@@ -131,7 +121,7 @@ def _cmd_compose(args) -> tuple[dict, str]:
 
 
 def _cmd_classgroup(args) -> tuple[dict, str]:
-    group = compose.class_group(_resolve_disc(args))
+    group = compose.class_group(args.disc)
     # the text shows the elements only, so only JSON builds the O(h^2) table
     doc = group.to_dict() if getattr(args, "json", False) else {
         "elements": [list(s.coeffs()) for s in group.elements]}
@@ -139,13 +129,12 @@ def _cmd_classgroup(args) -> tuple[dict, str]:
 
 
 def _cmd_special_squares(args) -> tuple[dict, str]:
-    disc = _resolve_disc(args)
     entries = []
-    for s in compose.special_classes(disc):
+    for s in compose.special_classes(args.disc):
         sq = compose.special_square(s.a, s.c)
         entries.append({"witness": [s.a, s.c], "class": list(s.cls.coeffs()),
                         "square": list(sq.coeffs())})
-    doc = {"disc": disc, "squares": entries}
+    doc = {"disc": args.disc, "squares": entries}
     return doc, "\n".join(
         f"({e['witness'][0]},{e['witness'][1]}) [{_line(e['class'])}]^2 = [{_line(e['square'])}]"
         for e in entries
@@ -233,8 +222,7 @@ def _witness_text(doc: dict) -> str:
 def _cmd_seifert_exists(args) -> tuple[dict, str]:
     from . import seifert
 
-    disc = _resolve_disc(args)
-    doc = _witness_doc(disc, *seifert.nonisotopic_exists(disc), [])
+    doc = _witness_doc(args.disc, *seifert.nonisotopic_exists(args.disc), [])
     return doc, _witness_text(doc)
 
 
@@ -256,7 +244,7 @@ def _cmd_seifert_pair(args) -> tuple[dict, str]:
 def _cmd_seifert_pairs(args) -> tuple[dict, str]:
     from . import seifert
 
-    disc = _resolve_disc(args)
+    disc = args.disc
     pairs = seifert.enumerate_realizable_pairs(
         disc, include_nonprimitive=args.include_nonprimitive)
     found, witness = seifert.nonisotopic_exists(disc)

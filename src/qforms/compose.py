@@ -81,9 +81,9 @@ search in order.  ``_half_special_squares`` squares those with
 a^2 <= |ac| into T'.  ``_classes`` sorts those special forms and squares
 into classes, for positive non-square D with one walk per cycle they meet.
 ``s_plus_subgroup`` and the coset step compose with T' only: no identity
-and one of each inverse pair; ``s_plus_subgroup`` raises TooLarge before
-its closure would take more than ``_S_PLUS_MAX`` compositions.  Every
-function here is pure: nothing reads or writes files.
+and one of each inverse pair.  ``_closure`` closes {1} under T' for
+``s_plus_subgroup`` and {t} under t for ``element_order``, each within a
+budget.  Every function here is pure: nothing reads or writes files.
 """
 
 from __future__ import annotations
@@ -356,15 +356,9 @@ class OrientedClassGroup:
         return table
 
     def element_order(self, s: FormClass) -> int:
-        D = _common_disc(self.disc, s.disc)
+        """The size of the closure of {s} under s; TooLarge past the group order."""
         t = s.coeffs()
-        e = self.elements[self.identity_index].coeffs()
-        n = 1
-        acc = t
-        while acc != e:
-            acc = _compose_reduced(acc, t, D)
-            n += 1
-        return n
+        return len(_closure({t}, [t], _common_disc(self.disc, s.disc), len(self.elements)))
 
     def to_dict(self) -> dict:
         return {
@@ -693,40 +687,43 @@ def s_plus_subgroup(D: int) -> list[FormClass]:
 
     A finite group is generated by T' (``_half_special_squares``) as by
     all of them: the identity adds nothing, and an inverse is a power.
-    The closure composes each element once with each generator, level by
-    level; TooLarge is raised before a level would take the count past
-    _S_PLUS_MAX.
+    TooLarge is raised before the closure would pass _S_PLUS_MAX compositions.
     """
-    generators = _half_special_squares(D)
-    subgroup = {_identity(D)}
-    frontier = list(subgroup)
+    subgroup = _closure({_identity(D)}, _half_special_squares(D), D, _S_PLUS_MAX)
+    return [FormClass(Form(*t), D) for t in sorted(subgroup)]
+
+
+def _closure(start: set[tuple[int, int, int]], generators: list[tuple[int, int, int]], D: int,
+             budget: int) -> set[tuple[int, int, int]]:
+    # start closed under the generators, level by level, each element composed
+    # once with each generator; TooLarge before a level would pass budget.  For
+    # element_order the closure of {t} under t takes ord(t) compositions, which
+    # divides h, so a true class group never passes its budget h
+    closed, frontier = start, list(start)
     steps = 0
     while frontier:
         steps += len(frontier) * len(generators)
-        if steps > _S_PLUS_MAX:
-            raise TooLarge(f"special-square subgroups are closed only up to {_S_PLUS_MAX} "
-                           f"compositions, D = {D} with {len(generators)} generators needs more")
+        if steps > budget:
+            raise TooLarge(f"subgroups are closed only up to {budget} compositions, "
+                           f"D = {D} with {len(generators)} generators needs more")
         nxt = []
         for x in frontier:
             for g in generators:
                 y = _compose_reduced(x, g, D)
-                if y not in subgroup:
-                    subgroup.add(y)
+                if y not in closed:
+                    closed.add(y)
                     nxt.append(y)
         frontier = nxt
-    return [FormClass(Form(*t), D) for t in sorted(subgroup)]
+    return closed
 
 
 # ---------------------------------------------------------------------------
 # Square discriminants
 
 
-def square_normal_form(f: Form) -> tuple[int, int]:
-    """(N, a mod N) with [f] = [a x^2 + N x y], for primitive f, disc = N^2.
-
-    An alias of ``forms.square_residue``, kept only because ``bench/``
-    calls it by this name; it goes when the benchmark no longer does."""
-    return square_residue(f)
+# an alias of forms.square_residue, kept only because bench/ calls it by
+# this name; it goes when the benchmark no longer does
+square_normal_form = square_residue
 
 
 def phi_n(N: int, a: int) -> FormClass:

@@ -109,9 +109,23 @@ def _hermite(p01: int, p02: int, p03: int, p12: int, p13: int, p23: int) -> tupl
 
 
 def _plane_from_plucker(p01: int, p02: int, p03: int, p12: int, p13: int, p23: int) -> "Plane":
-    """The canonical Plane of ``_hermite``."""
+    """The canonical Plane of ``_hermite``, without the summand check: P is primitive."""
     (x0, x1, x2, x3), (y0, y1, y2, y3) = _hermite(p01, p02, p03, p12, p13, p23)
-    return Plane(Mat2(x0, x3, -x2, x1), Mat2(y0, y3, -y2, y1))
+    plane = object.__new__(Plane)
+    d = plane.__dict__
+    d["v1"], d["v2"] = Mat2(x0, x3, -x2, x1), Mat2(y0, y3, -y2, y1)
+    return plane
+
+
+def _summand_plucker(v1: Mat2, v2: Mat2) -> tuple[int, int, int, int, int, int]:
+    # the Plucker coordinates of a basis, which must span a direct summand
+    plucker = _plucker(v1, v2)
+    g = gcd(*plucker)
+    if g == 0:
+        raise NotASummand("basis vectors are linearly dependent")
+    if g != 1:
+        raise NotASummand("basis does not span a direct summand of Z^4")
+    return plucker
 
 
 def _q_l(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int]:
@@ -126,25 +140,21 @@ class Plane:
 
     The stored basis is the Hermite basis of the underlying lattice with
     the orientation sign folded into the second vector, so plane equality
-    is plain field equality.
+    is plain field equality.  A basis given directly is stored as given,
+    after the check that it spans a direct summand (NotASummand).
     """
 
     v1: Mat2
     v2: Mat2
 
     def __init__(self, v1: Mat2, v2: Mat2) -> None:
+        _summand_plucker(v1, v2)
         d = self.__dict__
         d["v1"], d["v2"] = v1, v2
 
     @staticmethod
     def from_basis(v1: Mat2, v2: Mat2) -> "Plane":
-        plucker = _plucker(v1, v2)
-        g = gcd(*plucker)
-        if g == 0:
-            raise NotASummand("basis vectors are linearly dependent")
-        if g != 1:
-            raise NotASummand("basis does not span a direct summand of Z^4")
-        return _plane_from_plucker(*plucker)
+        return _plane_from_plucker(*_summand_plucker(v1, v2))
 
     def opposite(self) -> "Plane":
         """The same plane with reversed orientation: the plane of -P."""

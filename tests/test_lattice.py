@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from math import gcd
 
@@ -150,6 +151,18 @@ class TestPlane:
     def test_non_summand_rejected(self):
         with pytest.raises(NotASummand):
             Plane.from_basis(Mat2(2, 0, 0, 0), Mat2(0, 0, 0, 2))
+
+    @pytest.mark.parametrize("v1, v2", [(Mat2(2, 0, 0, 0), Mat2(0, 0, 0, 1)),
+                                        (Mat2(1, 0, 0, 0), Mat2(2, 0, 0, 0))],
+                             ids=["index-2", "dependent"])
+    def test_hand_built_non_summand_rejected(self, v1, v2):
+        # a Plane built directly or by dataclasses.replace is checked as
+        # from_basis checks it, so no function answers on it
+        with pytest.raises(NotASummand):
+            Plane(v1, v2)
+        summand = Plane(Mat2(1, 0, 0, 0), Mat2(0, 0, 0, 1))
+        with pytest.raises(NotASummand):
+            dataclasses.replace(summand, v1=v1, v2=v2)
 
     def test_canonical_storage(self, rng):
         # any oriented basis of the same plane produces the same object
