@@ -2,7 +2,8 @@
 
 Every subcommand builds one JSON document and renders its text form from
 that document; ``main`` prints the document with ``--json`` and the text
-otherwise (``classgroup`` builds its table for ``--json`` only).
+otherwise (``classgroup`` builds its table for ``--json`` only); like
+``--cache-dir``, ``--json`` follows the command and is refused before it.
 Identical invocations produce byte-identical output.  Exit codes: 0
 success, 1 domain error (with a stable machine-readable code in JSON
 mode), 2 usage error.  The CLI reads and writes no files: ``--cache-dir``
@@ -28,16 +29,12 @@ def _add_disc(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # SUPPRESS keeps absent flags out of the namespace, so values parsed
-    # before a subcommand survive the subparser's namespace merge
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="emit JSON instead of text")
-    common.add_argument("--cache-dir", metavar="DIR", default=argparse.SUPPRESS,
+    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    common.add_argument("--cache-dir", metavar="DIR",
                         help="accepted and ignored: no command reads or writes files")
     parser = argparse.ArgumentParser(
         prog="qforms",
-        parents=[common],
         description="Exact arithmetic for binary quadratic forms, Gauss composition, "
                     "planes in Z^4, Bhargava cubes, and Seifert-form criteria.",
     )
@@ -74,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--slice", type=int, nargs=8, metavar="E",
                      help="slice a given cube (entries e000..e111)")
 
-    p = sub.add_parser("seifert", parents=[common], help="Seifert-form realization queries")
+    p = sub.add_parser("seifert", help="Seifert-form realization queries")
     ssub = p.add_subparsers(dest="seifert_command", required=True)
     _add_disc(command(ssub, "exists", _cmd_seifert_exists, "does a B^4-non-isotopic pair exist for D?"))
     q = command(ssub, "pair", _cmd_seifert_pair, "is (s1, s2) realizable by a disjoint pair?")
@@ -123,7 +120,7 @@ def _cmd_compose(args) -> tuple[dict, str]:
 def _cmd_classgroup(args) -> tuple[dict, str]:
     group = compose.class_group(args.disc)
     # the text shows the elements only, so only JSON builds the O(h^2) table
-    doc = group.to_dict() if getattr(args, "json", False) else {
+    doc = group.to_dict() if args.json else {
         "elements": [list(s.coeffs()) for s in group.elements]}
     return doc, "\n".join(_line(e) for e in doc["elements"])
 
@@ -146,7 +143,7 @@ def _cmd_klein(args) -> tuple[dict, str]:
 
     if args.plane is not None:
         v = args.plane
-        plane = lattice.Plane.from_basis(Mat2.from_coords(*v[:4]), Mat2.from_coords(*v[4:]))
+        plane = lattice.Plane(Mat2.from_coords(*v[:4]), Mat2.from_coords(*v[4:]))
     else:
         v = args.pair
         plane = lattice.klein_inverse(lattice.KleinPair(Mat2(*v[:4]), Mat2(*v[4:])))
@@ -283,14 +280,13 @@ def _cmd_normal_form(args) -> tuple[dict, str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    as_json = getattr(args, "json", False)
     try:
         doc, text = args.run(args)
         code, stream = 0, sys.stdout
     except DomainError as exc:
         doc, text = {"error": exc.code, "message": str(exc)}, f"error[{exc.code}]: {exc}"
-        code, stream = 1, sys.stdout if as_json else sys.stderr
-    print(json.dumps(doc, sort_keys=True) if as_json else text, file=stream)
+        code, stream = 1, sys.stdout if args.json else sys.stderr
+    print(json.dumps(doc, sort_keys=True) if args.json else text, file=stream)
     return code
 
 

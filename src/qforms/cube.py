@@ -33,7 +33,7 @@ from math import gcd
 
 from .compose import _compose_reduced
 from .errors import NoCoprimePair, NotPairPrimitive, OutOfRange, ZeroDiscriminant, ZeroForm
-from .forms import Form, _canonical, _canonical_bar, _common_disc, content, discriminant
+from .forms import Form, _canonical, _canonical_bar, _common_disc, discriminant
 from .lattice import _hermite
 
 
@@ -109,10 +109,10 @@ def cube_from_forms(q1: Form, q2: Form) -> Cube:
     Requires equal nonzero discriminants and coprime contents.
     """
     _common_disc(discriminant(q1), discriminant(q2))
-    if gcd(content(q1), content(q2)) != 1:
+    p = ((q1.b + q2.b) // 2, q2.a, -q1.a, -q1.c, q2.c, (q2.b - q1.b) // 2)
+    if gcd(*p) != 1:  # P is primitive exactly when the contents are coprime
         raise NotPairPrimitive("a common prime divides the contents of q1 and q2")
-    (x0, x1, x2, x3), (y0, y1, y2, y3) = _hermite((q1.b + q2.b) // 2, q2.a, -q1.a, -q1.c, q2.c,
-                                                  (q2.b - q1.b) // 2)
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = _hermite(*p)
     return Cube((x0, x3, -x2, x1, y0, y3, -y2, y1))  # the layers v1, v2 of the Hermite basis
 
 

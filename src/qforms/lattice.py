@@ -43,7 +43,7 @@ L^pperp = (P23, -P02, -P03, -P12, -P13, P01).
 ``_hermite`` turns a primitive decomposable P into the coordinates of
 the canonical basis of its plane: ``compose._plane_basis``, the Bezout
 kernel that composition shares, gives h2 and h1 up to a multiple of h2,
-and h1 is reduced at h2's pivot.  ``Plane.from_basis`` reuses the Plucker
+and h1 is reduced at h2's pivot.  ``Plane`` reuses the Plucker
 coordinates of its summand check, and ``Plane.contains`` tests x ^ P = 0.
 ``verify_composition_identity`` reads q_L off the coordinates of
 ``_hermite`` and reduces both sides with ``forms._canonical``, composing
@@ -117,17 +117,6 @@ def _plane_from_plucker(p01: int, p02: int, p03: int, p12: int, p13: int, p23: i
     return plane
 
 
-def _summand_plucker(v1: Mat2, v2: Mat2) -> tuple[int, int, int, int, int, int]:
-    # the Plucker coordinates of a basis, which must span a direct summand
-    plucker = _plucker(v1, v2)
-    g = gcd(*plucker)
-    if g == 0:
-        raise NotASummand("basis vectors are linearly dependent")
-    if g != 1:
-        raise NotASummand("basis does not span a direct summand of Z^4")
-    return plucker
-
-
 def _q_l(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, int, int]:
     # (det(v1), tr(v1 bar(v2)), det(v2)) of the basis with coordinates x, y
     return (x[0] * x[1] + x[2] * x[3], x[0] * y[1] + x[1] * y[0] + x[2] * y[3] + x[3] * y[2],
@@ -140,21 +129,28 @@ class Plane:
 
     The stored basis is the Hermite basis of the underlying lattice with
     the orientation sign folded into the second vector, so plane equality
-    is plain field equality.  A basis given directly is stored as given,
-    after the check that it spans a direct summand (NotASummand).
+    is plain field equality.  Raises NotASummand unless the given basis
+    spans a direct summand.
     """
 
     v1: Mat2
     v2: Mat2
 
     def __init__(self, v1: Mat2, v2: Mat2) -> None:
-        _summand_plucker(v1, v2)
+        plucker = _plucker(v1, v2)
+        g = gcd(*plucker)
+        if g == 0:
+            raise NotASummand("basis vectors are linearly dependent")
+        if g != 1:
+            raise NotASummand("basis does not span a direct summand of Z^4")
+        (x0, x1, x2, x3), (y0, y1, y2, y3) = _hermite(*plucker)
         d = self.__dict__
-        d["v1"], d["v2"] = v1, v2
+        d["v1"], d["v2"] = Mat2(x0, x3, -x2, x1), Mat2(y0, y3, -y2, y1)
 
     @staticmethod
     def from_basis(v1: Mat2, v2: Mat2) -> "Plane":
-        return _plane_from_plucker(*_summand_plucker(v1, v2))
+        # the same as Plane(v1, v2), kept only because bench/spans.py traces the name
+        return Plane(v1, v2)
 
     def opposite(self) -> "Plane":
         """The same plane with reversed orientation: the plane of -P."""
@@ -233,7 +229,7 @@ def transform_plane(plane: Plane, g1: Mat2, g2: Mat2) -> Plane:
     """
     _require_sl2(g1)
     _require_sl2(g2)
-    return Plane.from_basis(g1 @ plane.v1 @ g2.bar(), g1 @ plane.v2 @ g2.bar())
+    return Plane(g1 @ plane.v1 @ g2.bar(), g1 @ plane.v2 @ g2.bar())
 
 
 def orth_complement(plane: Plane) -> Plane:

@@ -261,14 +261,28 @@ class TestErrorsAndModes:
         assert code == 1 and "zero-discriminant" in err
 
     def test_domain_error_json(self, capsys):
-        code, out, _ = run_cli(capsys, "--json", "classgroup", "7")
+        code, out, _ = run_cli(capsys, "classgroup", "7", "--json")
         assert code == 1
         assert json.loads(out)["error"] == "not-a-discriminant"
 
-    def test_json_flag_both_positions(self, capsys):
-        _, out1, _ = run_cli(capsys, "--json", "reduce", "2", "1", "3")
-        _, out2, _ = run_cli(capsys, "reduce", "2", "1", "3", "--json")
-        assert out1 == out2 and json.loads(out1) == {"class": [2, 1, 3], "disc": -23}
+    @pytest.mark.parametrize("argv", [
+        ["--json", "reduce", "2", "1", "3"],
+        ["--cache-dir", "c", "reduce", "2", "1", "3"],
+        ["--json", "seifert", "pairs", "-23"],
+        ["seifert", "--json", "pairs", "-23"],
+        ["seifert", "--cache-dir", "c", "pairs", "-23"],
+    ])
+    def test_flags_before_the_command_are_usage_errors(self, capsys, argv):
+        # --json and --cache-dir belong to the command they follow, and only to it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+    def test_flags_follow_the_command(self, capsys):
+        _, out, _ = run_cli(capsys, "reduce", "2", "1", "3", "--cache-dir", "c", "--json")
+        assert json.loads(out) == {"class": [2, 1, 3], "disc": -23}
+        _, out, _ = run_cli(capsys, "seifert", "pairs", "-23", "--json")
+        assert out == GOLDEN["seifert pairs -23"]["json"]
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

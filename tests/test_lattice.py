@@ -175,6 +175,28 @@ class TestPlane:
             w2 = mat_add(mat_scale(v1, c), mat_scale(v2, d))
             assert Plane.from_basis(w1, w2) == p
 
+    def test_direct_construction_is_canonical(self, rng):
+        # Plane(v1, v2) stores the Hermite basis, as from_basis does, so one
+        # plane has one object and one q_L
+        p = Plane(Mat2(1, 2, 3, 4), Mat2(0, -1, 1, 0))
+        assert p == Plane.from_basis(Mat2(1, 2, 3, 4), Mat2(0, -1, 1, 0))
+        assert (p.v1, p.v2) == (Mat2(1, 5, 0, 4), Mat2(0, -1, 1, 0))
+        assert q_of_plane(p) == Form(4, -5, 1)
+        for _ in range(50):
+            p = klein_inverse(random_klein_pair(rng))
+            (a, b), (c, d) = random_sl2(rng).rows()
+            w1 = mat_add(mat_scale(p.v1, a), mat_scale(p.v2, b))
+            w2 = mat_add(mat_scale(p.v1, c), mat_scale(p.v2, d))
+            direct = Plane(w1, w2)
+            assert direct == Plane.from_basis(w1, w2) == p
+            assert q_of_plane(direct) == q_of_plane(p)
+
+    def test_replace_is_canonical(self):
+        w1, w2 = Mat2(1, 2, 3, 4), Mat2(0, -1, 1, 0)
+        moved = dataclasses.replace(PLANE_23, v1=w1, v2=w2)
+        assert moved == Plane.from_basis(w1, w2) == klein_oracle.plane_from_basis(w1, w2)
+        assert (moved.v1, moved.v2) != (w1, w2)
+
     def test_opposite_reverses(self):
         assert PLANE_23.opposite().opposite() == PLANE_23
         assert PLANE_23.opposite() != PLANE_23

@@ -28,7 +28,7 @@ CASES = [
     (FormClass(Form(1, 1, 6), -23), ["representative", "disc"],
      FormClass(representative=Form(1, 1, 6), disc=-23), FormClass(Form(2, 1, 3), -23), "[1,1,6]"),
     (Plane(M, N), ["v1", "v2"], Plane(v1=M, v2=N), Plane(N, M),
-     "Plane(v1=Mat2(m11=1, m12=2, m21=3, m22=4), v2=Mat2(m11=0, m12=-1, m21=1, m22=0))"),
+     "Plane(v1=Mat2(m11=1, m12=5, m21=0, m22=4), v2=Mat2(m11=0, m12=-1, m21=1, m22=0))"),
     (KleinPair(M, N), ["a1", "a2"], KleinPair(a1=M, a2=N), KleinPair(N, M),
      "KleinPair(a1=Mat2(m11=1, m12=2, m21=3, m22=4), a2=Mat2(m11=0, m12=-1, m21=1, m22=0))"),
     (Cube((1, 2, 3, 4, 5, 6, 7, 8)), ["entries"], Cube(entries=(1, 2, 3, 4, 5, 6, 7, 8)),
