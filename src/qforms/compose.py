@@ -55,12 +55,17 @@ at the API edge.  For D = N^2 the residues a mod N coprime to N give the
 canonical triples (a, N, 0) of [a x^2 + N x y]: (1, N, 0) first, or
 (0, 1, 0) for N = 1.  For positive non-square D, every cycle holds a
 reduced form (+-a, b, +-c) with 5a^2 <= D (Markov's bound, see
-``_markov_forms``), so only those forms are listed, with b moved
-into the reduced window, a translate of the principal form first.
-``forms._walk`` walks the cycle of each listed form that no earlier walk
-has met, once: it strikes the listed forms on that cycle off one set and
-returns the cycle's least form, the class representative, so R reduced
-forms cost O(R) steps.  ``class_group`` raises TooLarge before an
+``_markov_forms``).  sigma(a, b, c) = (-a, b, -c) carries each reduced
+cycle onto a reduced cycle, so only the forms with a > 0 are listed,
+with b moved into the reduced window, a translate of the principal form
+first: each cycle or its sigma image holds one of them.
+``forms._walk_pair`` walks the cycle of each listed form whose sigma
+orbit no earlier walk has met, once: it strikes the listed forms on that
+cycle and on its image off one set and returns the least forms of both,
+the class representatives, so R reduced forms cost O(R) steps.  As
+[sigma f] = N [f], N the class of the negative principal form, either
+N = 1 and every cycle is its own image, or no cycle is and the walks
+are half as many.  ``class_group`` raises TooLarge before an
 enumeration longer than ``_CLASS_GROUP_SCAN_MAX`` steps.
 
 The loops that compose classes pairwise (``OrientedClassGroup.table``,
@@ -111,6 +116,7 @@ from .forms import (
     _canonical_bar,
     _reduce_indefinite,
     _walk,
+    _walk_pair,
 )
 
 
@@ -467,16 +473,17 @@ def _reduced_definite(D: int) -> list[tuple[int, int, int]]:
 
 
 def _markov_forms(D: int, sq: int) -> list[tuple[int, int, int]]:
-    """The reduced primitive forms (+-a, b, +-c) of D > 0 non-square with
+    """The reduced primitive forms (a, b, c) of D > 0 non-square with
     a > 0 and 5a^2 <= D, from the square roots of D mod 4a.
 
     Since 2a < sqrt(D), each root z mod 2a gives exactly one reduced form:
     b is z moved into the window (sq - 2a, sq], and c = (b^2 - D) / 4a.
-    Every cycle holds one of these forms: by Markov's theorem each form
-    takes a primitive value v with |v| <= sqrt(D/5) < sqrt(D)/2, and a form
-    (v, b, c) moved into the window sqrt(D) - 2|v| < b < sqrt(D) is
-    reduced.  The first, (1, b, (b^2 - D)/4) with b = sq or sq - 1 of D's
-    parity, is a translate of the principal form.
+    Every cycle holds one of these forms or the sigma image (-a, b, -c) of
+    one: by Markov's theorem each form takes a primitive value v with
+    |v| <= sqrt(D/5) < sqrt(D)/2, and a form (v, b, c) moved into the
+    window sqrt(D) - 2|v| < b < sqrt(D) is reduced.  The first,
+    (1, b, (b^2 - D)/4) with b = sq or sq - 1 of D's parity, is a
+    translate of the principal form.
     """
     out = []
     for a, z in _roots_mod_4a(D, isqrt(D // 5)):
@@ -484,7 +491,6 @@ def _markov_forms(D: int, sq: int) -> list[tuple[int, int, int]]:
         c = (b * b - D) // (4 * a)
         if gcd(a, b, c) == 1:
             out.append((a, b, c))
-            out.append((-a, b, -c))
     return out
 
 
@@ -521,10 +527,14 @@ def _class_triples(D: int) -> tuple[list[tuple[int, int, int]], tuple[int, int, 
         triples = _reduced_definite(D)
     elif square:  # (a, N, 0) is canonical already: (1, N, 0), or (0, 1, 0) for N = 1
         triples = [(a, N, 0) for a in range(N) if gcd(a, N) == 1]
-    else:  # one walk per cycle, struck off as in _classes; the principal translate first
+    else:  # one walk per pair of sigma-image cycles; the principal translate first
         markov = _markov_forms(D, N)
-        pending = {(0, 0, 0), *markov}
-        triples = [_walk(*f, D, N, stop=pending) for f in markov if f in pending]
+        pending = set(markov)
+        least = {}  # insertion-ordered: a cycle that is its own image gives one form twice
+        for f in markov:
+            if f in pending:
+                least.update(dict.fromkeys(_walk_pair(*f, D, N, pending)))
+        triples = list(least)
     identity = triples[0]
     triples.sort()
     return triples, identity
@@ -571,8 +581,8 @@ _DIVISOR_PAIRS_MAX = 10**14
 # D = -2.4 * 10^8 (h = 8,000) and at most about 0.2 s for the 200
 # accepted D nearest it (h up to 38,000, about 13 MB at the peak).
 # Positive non-square D count D/8 steps, so D > 1.6 * 10^8 is refused,
-# although it takes at most 0.15 s for the 200 D just below that bound
-# (0.03 s at D = 100000001, h = 720); each cycle walk is also bounded by
+# although it takes at most 0.03 s for the 200 D just below that bound
+# (0.01 s at D = 100000001, h = 720); each cycle walk is also bounded by
 # forms._WALK_MAX.  A residue of the square scan becomes a class with no
 # reduction (about 3 us), but each class holds about 300 bytes until the
 # call returns, so a residue counts as 150 steps: that bounds the peak

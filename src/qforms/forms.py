@@ -19,24 +19,32 @@ Canonical representatives per discriminant regime:
   canonical, or the triple itself (``_canonical_bar``), with no reduction.
 * D > 0 not a square: the lexicographically least form on the cycle of
   reduced forms (0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b).
-  ``_walk`` is the one function that steps a reduced cycle, in one flat
-  loop on the magnitudes (2|a|, b, 2|c|), all below 2 sqrt(D): the sign
+  ``_walk`` and ``_walk_pair`` are the two functions that step a reduced
+  cycle, each in one flat loop on the magnitudes (2|a|, b, 2|c|), all
+  below 2 sqrt(D).  ``_walk`` finds one cycle's least form: the sign
   of a alternates along the cycle, so after at most one step to reach
   a < 0 each pass takes the step from a < 0 and then the one from a > 0,
   compares only the a < 0 form with the running minimum and tests for
   the return to the start once.  It raises TooLarge past ``_WALK_MAX``
   passes.  Given a set ``stop`` of reduced forms, it strikes off each one
   it meets and ends once the set is empty: ``is_equivalent`` passes the
-  partner form, ``compose.class_group`` the Markov forms no walk has met
-  yet, and ``seifert`` the reduced forms of the special witnesses.
-  ``canonical`` takes the minimum it returns with no ``stop``, and then
-  the walk stops at mirror steps f -> (c, b, a): the mirror
-  (a, b, c) -> (c, b, a) keeps forms reduced and reverses the neighbor
-  step, so only a cycle it maps to itself (an ambiguous class) has such
-  steps, exactly two, half the cycle apart.
-  Walking from the start and from its mirror each to the next mirror
-  step meets half of such a cycle, and the mirrors of those forms are
-  the other half; any other cycle is walked in full.
+  partner form, ``compose._classes`` the forms no walk has met yet, and
+  ``seifert`` the reduced forms of the special witnesses.  These stop sets
+  hold single forms, not sigma orbits: ``is_equivalent`` must not accept
+  the image sigma(a, b, c) = (-a, b, -c) of its partner, which is on
+  another cycle unless the negative principal form is principal.
+  ``_walk_pair`` serves ``compose.class_group``: sigma keeps forms reduced
+  and commutes with the neighbor step, so it carries each cycle onto a
+  cycle with the same magnitudes, and one walk returns the least forms of
+  both and strikes the sigma orbit (|a|, b, -|c|) of each form it meets
+  off ``stop``.  ``canonical`` takes the minimum ``_walk`` returns with no
+  ``stop``, and then the walk stops at mirror steps f -> (c, b, a): the
+  mirror (a, b, c) -> (c, b, a) keeps forms reduced and reverses the
+  neighbor step, so only a cycle it maps to itself (an ambiguous class)
+  has such steps, exactly two, half the cycle apart.  Walking from the
+  start and from its mirror each to the next mirror step meets half of
+  such a cycle, and the mirrors of those forms are the other half; any
+  other cycle is walked in full.
 * D = N^2 > 0: content * (a'*x^2 + N'*x*y) where N' = N/content and
   0 <= a' < N' is the normal-form residue of the primitive part, in
   closed form on integers (``square_residue``): the unimodular matrix
@@ -243,8 +251,8 @@ def _walk(a: int, b: int, c: int, D: int, sq: int, stop=None):
     included, and returns None as soon as the set is empty.  TooLarge is
     raised past ``_WALK_MAX`` passes.
 
-    This is the one place where a reduced cycle is stepped.  A reduced form
-    has |c| < sqrt(D), so the neighbor step (a, b, c) -> (c, r, .) takes
+    It and ``_walk_pair`` are the two walks of a reduced cycle.  A reduced
+    form has |c| < sqrt(D), so the neighbor step (a, b, c) -> (c, r, .) takes
     r = -b mod 2|c| in the window (sqrt(D) - 2|c|, sqrt(D)].  On a reduced
     cycle a and c have opposite signs, so the sign of a alternates, and the
     walk steps on the magnitudes (U, b, V) = (2|a|, b, 2|c|): with
@@ -359,6 +367,60 @@ def _walk(a: int, b: int, c: int, D: int, sq: int, stop=None):
             return -best_U >> 1, best_b, best_V >> 1
         if U >= best_U and (U > best_U or b < best_b):
             best_U, best_b, best_V = U, b, V
+    raise TooLarge(f"cycles are walked only up to {_WALK_MAX} passes of two steps, "
+                   f"a cycle of D = {D} is longer")
+
+
+def _walk_pair(a: int, b: int, c: int, D: int, sq: int, stop: set):
+    """Walk the cycle of the reduced form (a, b, c) (D > 0 non-square,
+    sq = isqrt(D)) once and return the least form of that cycle and the
+    least form of its sigma image, sigma(a, b, c) = (-a, b, -c).  Each form
+    met is keyed by its sigma orbit (|a|, b, -|c|) and the key struck off
+    the set ``stop``.  TooLarge is raised past ``_WALK_MAX`` passes.
+
+    sigma keeps forms reduced and commutes with the neighbor step, whose
+    window depends only on |c|, so it carries the cycle onto a cycle with
+    the same magnitudes (U, b, V) = (2|a|, b, 2|c|) and the other signs.
+    The walk steps as ``_walk`` does: the least form of the cycle is its
+    a < 0 form with the largest U, then the least b, and the least form of
+    the image is the sigma image of the a > 0 form compared the same way.
+    The key of a form reads (U/2, b, -V/2) at either half-step.
+    The walk never ends early, as both minima need the whole cycle, and it
+    keeps the stop-set phase of ``_walk``, so it costs O(L + |stop|) for a
+    cycle of L forms.
+    """
+    if a > 0:
+        U, V = 2 * a, -2 * c
+        q = (sq + b) // V
+        r = q * V - b
+        U, b, V = V, r, U + q * (b - r)
+    else:
+        U, V = -2 * a, 2 * c
+    U0, b0 = U, b
+    nU, nb, nV = U, b, V  # least a < 0 form
+    mU = mb = mV = 0  # least a > 0 form, by (U, b)
+    bs, n = None, len(stop)
+    for i in range(_WALK_MAX):
+        if i == n:
+            bs = {f[1] for f in stop}
+        # a < 0 < c
+        if bs is None or b in bs:
+            stop.discard((U >> 1, b, -(V >> 1)))
+        q = (sq + b) // V
+        r = q * V - b
+        U, b, V = V, r, U + q * (b - r)
+        # a > 0 > c
+        if bs is None or b in bs:
+            stop.discard((U >> 1, b, -(V >> 1)))
+        if U >= mU and (U > mU or b < mb):
+            mU, mb, mV = U, b, V
+        q = (sq + b) // V
+        r = q * V - b
+        U, b, V = V, r, U + q * (b - r)
+        if b == b0 and U == U0:
+            return (-nU >> 1, nb, nV >> 1), (-mU >> 1, mb, mV >> 1)
+        if U >= nU and (U > nU or b < nb):
+            nU, nb, nV = U, b, V
     raise TooLarge(f"cycles are walked only up to {_WALK_MAX} passes of two steps, "
                    f"a cycle of D = {D} is longer")
 

@@ -183,13 +183,16 @@ class TestSeifert:
     def test_pairs_budget_before_cycle_walk(self, capsys, monkeypatch):
         # 584637511777 is past the class_group budget, and its principal
         # cycle has 485,404 forms: the budget refuses before any walk.
-        # compose and seifert bind _walk by name, so every binding is refused
+        # compose and seifert bind _walk, and compose _walk_pair, by name,
+        # so every binding of both walks is refused
         def refuse(*args, **kwargs):
             raise RuntimeError("a cycle was walked")
 
         monkeypatch.setattr("qforms.forms._walk", refuse)
         monkeypatch.setattr("qforms.compose._walk", refuse)
         monkeypatch.setattr("qforms.seifert._walk", refuse)
+        monkeypatch.setattr("qforms.forms._walk_pair", refuse)
+        monkeypatch.setattr("qforms.compose._walk_pair", refuse)
         code, out, _ = run_cli(capsys, "seifert", "pairs", "--json", "584637511777")
         assert code == 1 and json.loads(out)["error"] == "too-large"
 

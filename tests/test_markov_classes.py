@@ -2,8 +2,9 @@
 walk on small integers.
 
 ``compose._class_triples`` walks cycles only from the reduced forms
-(+-a, b, +-c) with 5a^2 <= D, listed from the square roots of D mod 4a;
-``forms._walk`` steps on (2|a|, b, 2|c|).  These tests hold both to the
+(a, b, c) with 0 < a and 5a^2 <= D, listed from the square roots of D mod
+4a, each walk serving the form's cycle and its sigma image
+(-a, b, -c); ``forms._walk`` steps on (2|a|, b, 2|c|).  These tests hold both to the
 references they replaced: the reduced forms of ``classgroup_oracle``, the
 textbook neighbor step of ``test_forms`` and the class groups the full
 scan over (b, |a|) produced.
@@ -47,18 +48,20 @@ def test_class_groups_match_the_full_scan():
 
 def test_every_cycle_holds_a_markov_form():
     # the lemma the enumeration rests on, against the oracle's reduced forms:
-    # _markov_forms lists exactly those with 5a^2 <= D, and walking from
-    # them reaches every reduced form.  The oracle is O(D) per discriminant,
-    # so it runs to 5000 here; the digest above carries the lemma to 20000
+    # _markov_forms lists exactly those with a > 0 and 5a^2 <= D, and
+    # walking from them and from their sigma images (-a, b, -c) reaches
+    # every reduced form.  The oracle is O(D) per discriminant, so it runs
+    # to 5000 here; the digest above carries the lemma to 20000
     for D in nonsquare_discriminants(5, 5000):
         sq = isqrt(D)
         every = {f.coeffs() for f in reduced_forms(D)}
         markov = _markov_forms(D, sq)
-        assert sorted(markov) == sorted(f for f in every if 5 * f[0] * f[0] <= D)
+        assert sorted(markov) == sorted(f for f in every if f[0] > 0 and 5 * f[0] * f[0] <= D)
         reached = set()
-        for f in markov:
-            if f not in reached:
-                reached.update(g.coeffs() for g in textbook_cycle(Form(*f), D))
+        for a, b, c in markov:
+            for f in ((a, b, c), (-a, b, -c)):
+                if f not in reached:
+                    reached.update(g.coeffs() for g in textbook_cycle(Form(*f), D))
         assert reached == every
 
 
@@ -78,14 +81,15 @@ def test_square_roots_mod_primes():
 @PROPERTY
 @given(D=st.integers(5, 2 * 10**5))
 def test_markov_forms_by_trial(D):
-    # against a trial of every b = D (mod 2) in the window (sq - 2a, sq]
+    # against a trial of every b = D (mod 2) in the window (sq - 2a, sq];
+    # only the forms with a > 0 are listed
     assume(D % 4 < 2 and isqrt(D) ** 2 != D)
     sq = isqrt(D)
     expected = []
     for a in range(1, isqrt(D // 5) + 1):
         for b in range(sq - 2 * a + 1, sq + 1):
             if (b * b - D) % (4 * a) == 0 and gcd(a, b, (b * b - D) // (4 * a)) == 1:
-                expected += [(a, b, (b * b - D) // (4 * a)), (-a, b, (D - b * b) // (4 * a))]
+                expected.append((a, b, (b * b - D) // (4 * a)))
     assert sorted(_markov_forms(D, sq)) == sorted(expected)
 
 

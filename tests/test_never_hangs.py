@@ -6,6 +6,8 @@ mode on integers up to 10^40.  Each call must finish within 5 s and exit 0
 error, nothing on stdout).  An indefinite form whose cycle is longer than
 the walk budget is refused after 1-3 s at these sizes, so the commands
 that reduce forms of the input's size (``WALKS``) draw few huge inputs.
+``ADVERSARIAL`` adds inputs that random integers seldom hit: a long
+regulator, large class numbers and a highly composite (1 - D)/4.
 """
 
 import contextlib
@@ -45,6 +47,24 @@ COMMANDS = {
 }
 WALKS = ["reduce", "compose", "klein --plane", "cube --slice", "seifert pair", "seifert feher"]
 
+# argv and its outcome: 0, or the error code of exit 1.  The principal
+# cycle of D = 584637511777 (the first two) has 485,404 forms;
+# -99999999, -239999999 and 100000001 have large class groups; for the
+# last six, (1 - D)/4 is -+223092870, the product of the first nine primes
+ADVERSARIAL = [
+    (["reduce", "--json", "1", "763717", "-343463922"], 0),
+    (["classgroup", "--json", "584637511777"], "too-large"),
+    (["classgroup", "--json", "--", "-99999999"], "too-large"),
+    (["classgroup", "--", "-239999999"], 0),
+    (["classgroup", "100000001"], 0),
+    (["seifert", "exists", "--json", "--", "-892371479"], 0),
+    (["special-squares", "--json", "--", "-892371479"], 0),
+    (["seifert", "pairs", "--json", "--", "-892371479"], "too-large"),
+    (["seifert", "exists", "--json", "--", "892371481"], 0),
+    (["special-squares", "--json", "--", "892371481"], 0),
+    (["seifert", "pairs", "--json", "--", "892371481"], "too-large"),
+]
+
 
 def run(argv):
     """(exit code, stdout) of one call, which must end within 5 s."""
@@ -57,18 +77,27 @@ def run(argv):
     return code, out.getvalue()
 
 
-def check(name, data, bound):
-    prefix, n, _ = COMMANDS[name]
-    argv = prefix + [str(v) for v in data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))]
+def check_argv(argv):
+    """The exit code of one call, or in JSON mode the error code of exit 1."""
     code, out = run(argv)
     assert code in (0, 1, 2), argv
     if code == 2:
         assert out == "", argv
-        return
+        return code
+    if "--json" not in argv:
+        return code
     doc = json.loads(out)
     assert ("error" in doc) == (code == 1), argv
     if code == 1:
         assert doc["error"] in CODES, argv
+        return doc["error"]
+    return code
+
+
+def check(name, data, bound):
+    prefix, n, _ = COMMANDS[name]
+    values = data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    check_argv(prefix + [str(v) for v in values])
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -89,3 +118,8 @@ def test_huge(name, data):
 @given(name=st.sampled_from(WALKS), data=st.data())
 def test_huge_walks(name, data):
     check(name, data, HUGE)
+
+
+@pytest.mark.parametrize("argv, outcome", ADVERSARIAL, ids=[" ".join(argv) for argv, _ in ADVERSARIAL])
+def test_adversarial(argv, outcome):
+    assert check_argv(argv) == outcome
