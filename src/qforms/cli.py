@@ -20,7 +20,7 @@ import sys
 
 from . import __version__
 from . import compose
-from .errors import DomainError, MismatchedDiscriminant, NotSquareDiscriminant
+from .errors import DomainError, NotSquareDiscriminant
 from .forms import Form, FormClass, Mat2, canonical, discriminant, form_class, square_residue
 
 
@@ -226,11 +226,9 @@ def _cmd_seifert_exists(args) -> tuple[dict, str]:
 def _cmd_seifert_pair(args) -> tuple[dict, str]:
     from . import seifert
 
-    v = args.args
-    disc, s1, s2 = v[0], form_class(*v[1:4]), form_class(*v[4:7])
-    if s1.disc != disc or s2.disc != disc:
-        raise MismatchedDiscriminant(
-            f"forms have discriminants {s1.disc}, {s2.disc}, expected {disc}")
+    disc, *c = args.args
+    compose._require_one_mod_4(disc)
+    s1, s2 = FormClass(Form(*c[:3]), disc), FormClass(Form(*c[3:]), disc)
     found, witness = seifert.realizable_disjoint_pair(s1, s2)
     pairs = [{"s1": list(s1.coeffs()), "s2": list(s2.coeffs()),
               "b4_distinguishable": seifert.b4_distinguishable(s1, s2)}] if found else []

@@ -72,8 +72,8 @@ The loops that compose classes pairwise (``OrientedClassGroup.table``,
 ``element_order``, ``s_plus_subgroup`` and the coset step of
 ``seifert.enumerate_realizable_pairs``) keep each class as its triple
 and call ``_compose_reduced`` (``_compose``, then ``forms._canonical``),
-the helper ``class_compose`` wraps; a ``FormClass`` is built only for a
-value a public function returns.  The bar is an automorphism,
+the helper ``class_compose`` wraps; only a returned ``FormClass`` is
+built, by ``forms._canonical_class``.  The bar is an automorphism,
 bar(x) bar(y) = bar(x y), so ``table`` and the coset step read the bar of
 each class once and compose one pair of each bar orbit: ``table`` one of
 each unordered pair {x, y} and {bar x, bar y}, and for D < 0 only the
@@ -107,10 +107,10 @@ from .errors import (
 from .forms import (
     Form,
     FormClass,
+    _canonical_class,
     _common_disc,
     content,
     discriminant,
-    form_class,
     square_residue,
     _canonical,
     _canonical_bar,
@@ -276,17 +276,17 @@ def _compose_reduced(t1: tuple[int, int, int], t2: tuple[int, int, int], D: int)
 def class_compose(s1: FormClass, s2: FormClass) -> FormClass:
     """Composition on classes; defined for coprime contents."""
     D = _common_disc(s1.disc, s2.disc)
-    return FormClass(Form(*_compose_reduced(s1.coeffs(), s2.coeffs(), D)), D)
+    return _canonical_class(Form(*_compose_reduced(s1.coeffs(), s2.coeffs(), D)), D)
 
 
 def class_bar(s: FormClass) -> FormClass:
     """[q] -> [bar(q)], defined for every class; closed form for D < 0."""
-    return FormClass(Form(*_canonical_bar(*s.coeffs(), s.disc)), s.disc)
+    return _canonical_class(Form(*_canonical_bar(*s.coeffs(), s.disc)), s.disc)
 
 
 def identity_class(D: int) -> FormClass:
     """The neutral class of discriminant D."""
-    return FormClass(Form(*_identity(D)), D)
+    return _canonical_class(Form(*_identity(D)), D)
 
 
 def _identity(D: int) -> tuple[int, int, int]:
@@ -305,9 +305,9 @@ def _check_discriminant(D: int) -> None:
 # Class group enumeration
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class OrientedClassGroup:
-    """All primitive classes of one discriminant under composition."""
+    """The sorted primitive classes of one discriminant; only ``class_group`` builds one."""
 
     disc: int
     elements: list[FormClass]
@@ -553,7 +553,10 @@ def class_group(D: int) -> OrientedClassGroup:
     triples, identity = _class_triples(D)
     if D < 0:  # the negative classes, sorted: negation reverses the order
         triples = [(-a, -b, -c) for a, b, c in reversed(triples)] + triples
-    return OrientedClassGroup(D, [FormClass(Form(*t), D) for t in triples], triples.index(identity))
+    group = object.__new__(OrientedClassGroup)  # with no __init__, this is its one builder
+    group.__dict__.update(disc=D, elements=[_canonical_class(Form(*t), D) for t in triples],
+                          identity_index=triples.index(identity))
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +644,13 @@ def special_classes(D: int) -> list[SpecialClass]:
     """All classes [a x^2 + x y + c y^2] with 1 - 4ac = D, each with its first (a, c)."""
     _require_one_mod_4(D)
     forms = [(a, 1, c) for a, c in divisor_pairs((1 - D) // 4)]
-    return [SpecialClass(a, c, FormClass(Form(*t), D)) for t, (a, _, c) in _classes(forms, D).items()]
+    return [SpecialClass(a, c, _canonical_class(Form(*t), D)) for t, (a, _, c) in _classes(forms, D).items()]
 
 
 def special_square(a: int, c: int) -> FormClass:
     """[a x^2 + x y + c y^2]^2 = [a^2 x^2 + (1 - 2ac) x y + c^2 y^2]."""
     D = 1 - 4 * a * c  # odd, so never 0
-    return FormClass(Form(*_special_square(a, c, D)), D)
+    return _canonical_class(Form(*_special_square(a, c, D)), D)
 
 
 def _special_square(a: int, c: int, D: int) -> tuple[int, int, int]:
@@ -700,7 +703,7 @@ def s_plus_subgroup(D: int) -> list[FormClass]:
     TooLarge is raised before the closure would pass _S_PLUS_MAX compositions.
     """
     subgroup = _closure({_identity(D)}, _half_special_squares(D), D, _S_PLUS_MAX)
-    return [FormClass(Form(*t), D) for t in sorted(subgroup)]
+    return [_canonical_class(Form(*t), D) for t in sorted(subgroup)]
 
 
 def _closure(start: set[tuple[int, int, int]], generators: list[tuple[int, int, int]], D: int,
@@ -742,4 +745,4 @@ def phi_n(N: int, a: int) -> FormClass:
         raise NotOddPositive(f"N must be odd and positive, got {N}")
     if gcd(a, N) != 1:
         raise NotCoprimeResidue(f"gcd({a}, {N}) != 1")
-    return form_class(a % N, N, 0)
+    return _canonical_class(Form(a % N, N, 0), N * N)  # canonical, as in _class_triples

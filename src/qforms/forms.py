@@ -11,7 +11,8 @@ which forces ``act(g, f) = f o (j g^T j)`` with ``j = diag(1, -1)``.
 Any substitution convention yields the same equivalence classes, so
 reduction and equivalence testing are unaffected.
 
-Canonical representatives per discriminant regime:
+Canonical representatives per discriminant regime, which ``FormClass(rep, D)``
+stores once D = discriminant(rep) != 0 (``_canonical_class``: no check, no reduction):
 
 * D < 0: Gauss-reduced form |b| <= a <= c with b >= 0 when |b| == a or
   a == c (positive definite); a negative definite form is canonicalized
@@ -531,19 +532,19 @@ def is_equivalent(f1: Form, f2: Form) -> bool:
 
 @dataclass(frozen=True, init=False)
 class FormClass:
-    """A proper equivalence class, stored by its canonical representative."""
+    """A proper equivalence class; FormClass(rep, D) checks D and stores canonical(rep)."""
 
     representative: Form
     disc: int
 
     def __init__(self, representative: Form, disc: int) -> None:
+        _common_disc(discriminant(representative), disc)
         d = self.__dict__
-        d["representative"], d["disc"] = representative, disc
+        d["representative"], d["disc"] = canonical(representative), disc
 
     @staticmethod
     def of(f: Form) -> "FormClass":
-        rep = canonical(f)
-        return FormClass(rep, discriminant(rep))
+        return _canonical_class(canonical(f), discriminant(f))
 
     @property
     def content(self) -> int:
@@ -555,6 +556,14 @@ class FormClass:
     def __repr__(self) -> str:
         a, b, c = self.coeffs()
         return f"[{a},{b},{c}]"
+
+
+def _canonical_class(rep: Form, disc: int) -> FormClass:
+    # FormClass(rep, disc) unchecked, for a canonical rep; direct writes are fastest
+    s = object.__new__(FormClass)
+    d = s.__dict__
+    d["representative"], d["disc"] = rep, disc
+    return s
 
 
 def form_class(a: int, b: int, c: int) -> FormClass:

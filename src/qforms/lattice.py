@@ -59,7 +59,7 @@ from math import gcd
 from .compose import _compose, _plane_basis
 from .errors import (MismatchedDeterminant, NotASummand, NotGross, NotPairPrimitive, NotSymplectic,
                      ZeroDeterminant, ZeroDiscriminant)
-from .forms import Form, FormClass, Mat2, _canonical, _require_sl2
+from .forms import Form, FormClass, Mat2, _canonical, _canonical_class, _require_sl2
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def verify_composition_identity(p: KleinPair) -> tuple[FormClass, FormClass, boo
         t1, t2 = _canonical(*t1, d), _canonical(*t2, d)
     via_compose = _canonical(*_compose(*t1, *t2, d), d)
     ok = (via_plane, dl) == (via_compose, d) and gcd(a, b, c) == gross_content(a1) * gross_content(a2)
-    return FormClass(Form(*via_plane), dl), FormClass(Form(*via_compose), d), ok
+    return _canonical_class(Form(*via_plane), dl), _canonical_class(Form(*via_compose), d), ok
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,15 @@ try every |a| in a widened range for each b, keep the reduced primitive
 forms by an explicit check of the reduction inequalities, and take
 ``FormClass.of`` of each one.  Every such call walks that form's whole
 cycle, so R reduced forms cost O(R^2) steps.  The tests use it as a
-reference for the one-walk-per-cycle enumeration.
+reference for the one-walk-per-cycle enumeration.  The group comes back
+as plain data in the layout of ``OrientedClassGroup.to_dict``, its table
+composed pair by pair with ``class_compose``, with none of the bar and
+symmetry shortcuts of ``OrientedClassGroup.table``.
 """
 
 from math import isqrt
 
-from qforms.compose import OrientedClassGroup, identity_class
+from qforms.compose import class_compose, identity_class
 from qforms.forms import Form, FormClass, content
 
 
@@ -36,6 +39,13 @@ def reduced_forms(D):
 
 
 def class_group_by_canonical(D):
-    """The oriented class group of D > 0 non-square, as class_group used to build it."""
+    """The oriented class group of D > 0 non-square, as class_group used to
+    build it, as the dict ``OrientedClassGroup.to_dict`` gives."""
     elements = sorted({FormClass.of(f) for f in reduced_forms(D)}, key=lambda s: s.coeffs())
-    return OrientedClassGroup(D, elements, elements.index(identity_class(D)))
+    index = {s: i for i, s in enumerate(elements)}
+    return {
+        "disc": D,
+        "elements": [list(s.coeffs()) for s in elements],
+        "identity": index[identity_class(D)],
+        "table": [[index[class_compose(x, y)] for y in elements] for x in elements],
+    }

@@ -155,18 +155,24 @@ class TestSeifert:
     # D in [-8, 9] and 4 * 10^30 + 2: D = 0 and D = 2, 3 mod 4 are not
     # discriminants, and every command that takes D says so before
     # not-one-mod-4 and before any budget; classgroup takes every
-    # discriminant.  The seifert pairs rows are named by D alone
+    # discriminant.  seifert pair is given (1, 1, 6) twice, of discriminant
+    # -23, so the D = 1 mod 4 it is given here are mismatched.  The seifert
+    # pairs rows are named by D alone
     @pytest.mark.parametrize("command, D", [
         pytest.param(command, D, id=str(D) if command == "seifert pairs" else f"{command}:{D}")
-        for command in ("seifert pairs", "seifert exists", "special-squares", "classgroup")
+        for command in ("seifert pairs", "seifert exists", "special-squares", "classgroup", "seifert pair")
         for D in [*range(-8, 10), 4 * 10**30 + 2]])
     def test_pairs_error_codes(self, capsys, command, D):
         expected = ("not-one-mod-4" if D in (-8, -4, 4, 8)
                     else None if D in (-7, -3, 1, 5, 9) else "not-a-discriminant")
         if command == "classgroup" and expected == "not-one-mod-4":
             expected = None
+        forms = []
+        if command == "seifert pair":
+            forms = ["1", "1", "6"] * 2
+            expected = expected or "mismatched-discriminant"
         with time_limit(1.0):
-            code, out, _ = run_cli(capsys, *command.split(), "--json", "--", str(D))
+            code, out, _ = run_cli(capsys, *command.split(), "--json", "--", str(D), *forms)
         assert (code, json.loads(out).get("error")) == (0 if expected is None else 1, expected)
 
     def test_pairs_budget_before_witness_search(self, capsys, monkeypatch):

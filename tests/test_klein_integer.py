@@ -125,7 +125,8 @@ class TestCube:
 
 def test_integer_paths_build_no_intermediate_objects(monkeypatch):
     # verify_composition_identity builds only the two Forms and FormClasses
-    # it returns, cube_law_check no object and cube_from_forms only its Cube
+    # it returns, the classes by the unchecked builder, cube_law_check no
+    # object and cube_from_forms only its Cube
     pairs = [KleinPair(gross(Form(2, 1, 3)), gross(Form(3, -1, 2))),  # D = -23
              KleinPair(gross(Form(2, 4 * 10**9 + 1, 2 * 10**18 + 10**9 + 3)), gross(Form(3, 1, 2))),
              KleinPair(gross(Form(1, 1, -1)), gross(Form(-1, 1, 1))),  # D = 5
@@ -144,6 +145,10 @@ def test_integer_paths_build_no_intermediate_objects(monkeypatch):
             return cls(*args)
         return make
 
+    def counted_class(rep, disc):
+        built.append("FormClass")
+        return forms._canonical_class(rep, disc)
+
     class Refused:
         def __init__(self, *args, **kwargs):
             raise AssertionError(f"{args} built an object")
@@ -153,7 +158,8 @@ def test_integer_paths_build_no_intermediate_objects(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, Refused)
     monkeypatch.setattr(lattice, "Form", counted(Form))
-    monkeypatch.setattr(lattice, "FormClass", counted(FormClass))
+    monkeypatch.setattr(forms, "FormClass", FormClass)  # the class the builder makes
+    monkeypatch.setattr(lattice, "_canonical_class", counted_class)
     assert [verify_composition_identity(p) for p in pairs] == want_identity
     assert built == ["Form", "FormClass", "Form", "FormClass"] * len(pairs)
     built.clear()

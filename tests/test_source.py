@@ -165,3 +165,26 @@ def test_readme_lists_methods_the_library_does_not_read():
     missing = [f"{m}: {method}" for m in SURFACE for method in public_surface(m)[1]
                if method.split(".")[1] not in read and method not in rows[m]]
     assert not missing, f"unread public methods the README module table does not list: {missing}"
+
+
+def test_classes_and_groups_have_one_checked_path_in():
+    # FormClass(rep, disc) canonicalizes rep, so the library calls it only in
+    # forms and on the forms a user hands the CLI; every class it computes
+    # is built from a canonical triple by forms._canonical_class.  A group
+    # is built only by class_group, the one builder of a complete class list
+    found = []
+    for path in sorted(Path(qforms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # each node of a function, mapped to the innermost function
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            names = [getattr(n, "id", None) for n in (node.func, *node.args)]
+            if names[0] == "FormClass" and path.name not in ("forms.py", "cli.py"):
+                found.append(f"{path.name}:{node.lineno} FormClass(")
+            if "OrientedClassGroup" in names and owner.get(node) != "class_group":
+                found.append(f"{path.name}:{node.lineno} builds an OrientedClassGroup")
+    assert not found, f"classes or groups built outside their one path: {found}"

@@ -1,14 +1,15 @@
 """The class-group loops that compose and reduce coefficient triples,
 against the FormClass-level references in ``formclass_oracle``."""
 
+import dataclasses
+
 import pytest
 
 from formclass_oracle import realizable_pairs_by_class, reduced_definite, s_plus_subgroup_by_class
 from qforms.compose import OrientedClassGroup, _reduced_definite, class_compose, class_group, s_plus_subgroup
-from qforms.errors import DomainError, MismatchedDiscriminant
+from qforms.errors import MismatchedDiscriminant
 from qforms.forms import form_class
 from qforms.seifert import enumerate_realizable_pairs
-from test_forms import time_limit
 
 
 def test_reduced_definite_matches_trial_over_every_b():
@@ -63,19 +64,16 @@ def test_element_order_rejects_a_class_of_another_discriminant():
         class_group(-23).element_order(form_class(1, 1, 5))
 
 
-@pytest.mark.parametrize("i", range(6))
-def test_element_order_ignores_the_identity_index(i):
-    # the order is the size of the cyclic closure, so a hand-built group
-    # whose identity_index names another class still gets the true orders
+def test_a_hand_built_group_is_refused():
+    # class_group is the one builder of a group, so table() and element_order
+    # never meet a group that misses a class or names another identity (with
+    # 4 of the 6 classes of -23, 10 of the 16 table entries would be wrong).
+    # A direct call and dataclasses.replace both raise
     g = class_group(-23)
-    with time_limit(1):
-        orders = [OrientedClassGroup(-23, g.elements, i).element_order(s) for s in g.elements]
-    assert orders == [g.element_order(s) for s in g.elements] == [6, 6, 2, 1, 3, 3]
-
-
-def test_element_order_refuses_a_group_that_misses_a_power():
-    # the closure is bounded by the group order, so a group too small to hold
-    # the powers of s is refused at once instead of looped on
-    g = class_group(-23)
-    with time_limit(1), pytest.raises(DomainError):
-        OrientedClassGroup(-23, g.elements[:1], 0).element_order(g.elements[4])
+    for build in (lambda: OrientedClassGroup(-23, g.elements[2:], 0),
+                  lambda: OrientedClassGroup(-23, g.elements, 2),
+                  lambda: dataclasses.replace(g, elements=g.elements[:1]),
+                  lambda: dataclasses.replace(g, identity_index=2)):
+        with pytest.raises(TypeError):
+            build()
+    assert [g.element_order(s) for s in g.elements] == [6, 6, 2, 1, 3, 3]
