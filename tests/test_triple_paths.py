@@ -7,9 +7,10 @@ import pytest
 
 from formclass_oracle import realizable_pairs_by_class, reduced_definite, s_plus_subgroup_by_class
 from qforms.compose import OrientedClassGroup, _reduced_definite, class_compose, class_group, s_plus_subgroup
-from qforms.errors import MismatchedDiscriminant
+from qforms.errors import DomainError, MismatchedDiscriminant
 from qforms.forms import form_class
 from qforms.seifert import enumerate_realizable_pairs
+from test_forms import time_limit
 
 
 def test_reduced_definite_matches_trial_over_every_b():
@@ -62,6 +63,32 @@ def test_element_order_rejects_a_class_of_another_discriminant():
     # the identity, so it is refused instead of looped on
     with pytest.raises(MismatchedDiscriminant):
         class_group(-23).element_order(form_class(1, 1, 5))
+
+
+def _forged_group(disc, elements, identity_index):
+    # OrientedClassGroup has no __init__, so a group that class_group would
+    # never return is forged the way class_group fills one in
+    group = object.__new__(OrientedClassGroup)
+    group.__dict__.update(disc=disc, elements=elements, identity_index=identity_index)
+    return group
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_element_order_ignores_the_identity_index(i):
+    # the order is the size of the cyclic closure, so even a forged group
+    # whose identity_index names another class still gets the true orders
+    g = class_group(-23)
+    with time_limit(1):
+        orders = [_forged_group(-23, g.elements, i).element_order(s) for s in g.elements]
+    assert orders == [g.element_order(s) for s in g.elements] == [6, 6, 2, 1, 3, 3]
+
+
+def test_element_order_refuses_a_group_that_misses_a_power():
+    # the closure is bounded by the group order, so a forged group too small
+    # to hold the powers of s is refused at once instead of looped on
+    g = class_group(-23)
+    with time_limit(1), pytest.raises(DomainError):
+        _forged_group(-23, g.elements[:1], 0).element_order(g.elements[4])
 
 
 def test_a_hand_built_group_is_refused():
